@@ -84,6 +84,12 @@ pub enum BaseError {
         /// The down processor's id.
         proc: usize,
     },
+    /// A component was configured with an out-of-domain parameter (a
+    /// non-positive or non-finite rate, a zero duration).
+    InvalidConfig {
+        /// Human-readable description of the problem.
+        reason: String,
+    },
 }
 
 impl fmt::Display for BaseError {
@@ -126,6 +132,7 @@ impl fmt::Display for BaseError {
             BaseError::ProcUnavailable { proc } => {
                 write!(f, "processor {proc} is down (crashed and not yet repaired)")
             }
+            BaseError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }
@@ -163,6 +170,11 @@ mod tests {
 
         let e = BaseError::ProcUnavailable { proc: 2 };
         assert!(e.to_string().contains("down"));
+
+        let e = BaseError::InvalidConfig {
+            reason: "rate is NaN".into(),
+        };
+        assert!(e.to_string().contains("NaN"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! size. This series of kernels is then fit into the model/type of DFG,
 //! either DFG Type-1 or DFG Type-2." This module is that software:
 //!
-//! * [`generate_kernels`] produces the seeded random series of kernels,
+//! * [`generate_kernels`] produces the seeded random series of kernels
+//!   (drawn one at a time by [`KernelSampler`]),
 //! * [`build_type1`] / [`build_type2`] fit a series into the two DFG shapes,
 //! * [`generate`] is the one-call combination.
 //!
@@ -137,28 +138,64 @@ impl Type2Layout {
 
 /// Generate the seeded random kernel series described in the module docs.
 pub fn generate_kernels(cfg: &StreamConfig, lookup: &LookupTable) -> Vec<Kernel> {
-    let mut rng = SplitMix64::new(cfg.seed);
-    let weights: Vec<u64> = if cfg.weighted_mix {
-        KernelKind::ALL
-            .iter()
-            .map(|_| 1 + rng.gen_range(4))
-            .collect()
-    } else {
-        vec![1; KernelKind::ALL.len()]
+    let mut sampler = KernelSampler::new(cfg);
+    (0..cfg.len).map(|_| sampler.next_kernel(lookup)).collect()
+}
+
+/// The draw behind [`generate_kernels`], one kernel at a time: the series'
+/// kind weights first, then per kernel a weighted kind and, for swept
+/// kinds, a data-size index. The weights live on the stack, so drawing
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct KernelSampler {
+    rng: SplitMix64,
+    weights: [u64; KernelKind::ALL.len()],
+}
+
+impl KernelSampler {
+    /// A sampler over the series `cfg` describes (`cfg.len` is not
+    /// enforced: the caller decides how many kernels to draw).
+    pub fn new(cfg: &StreamConfig) -> KernelSampler {
+        let mut rng = SplitMix64::new(cfg.seed);
+        let mut weights = [1; KernelKind::ALL.len()];
+        if cfg.weighted_mix {
+            for w in &mut weights {
+                *w = 1 + rng.gen_range(4);
+            }
+        }
+        KernelSampler { rng, weights }
+    }
+
+    /// Draw the next kernel as a `(kind, size index)` key: the index into
+    /// `lookup`'s ascending size list for swept kinds, 0 for kinds with a
+    /// canonical size (which consume no size draw). [`kernel_at`] turns the
+    /// key into the kernel.
+    pub fn next_key(&mut self, lookup: &LookupTable) -> (KernelKind, usize) {
+        let kind = KernelKind::ALL[self.rng.choose_weighted(&self.weights)];
+        let index = match kind.canonical_size() {
+            Some(_) => 0,
+            // Index into the table's size index directly — same RNG stream
+            // as `choose(&sizes_for(kind))` without materializing the size
+            // list per kernel.
+            None => self.rng.gen_index(lookup.size_count(kind)),
+        };
+        (kind, index)
+    }
+
+    /// Draw the next kernel.
+    pub fn next_kernel(&mut self, lookup: &LookupTable) -> Kernel {
+        let (kind, index) = self.next_key(lookup);
+        kernel_at(kind, index, lookup)
+    }
+}
+
+/// The kernel a [`KernelSampler::next_key`] key names.
+pub fn kernel_at(kind: KernelKind, size_index: usize, lookup: &LookupTable) -> Kernel {
+    let data_size = match kind.canonical_size() {
+        Some(s) => s,
+        None => lookup.size_at(kind, size_index),
     };
-    (0..cfg.len)
-        .map(|_| {
-            let kind = KernelKind::ALL[rng.choose_weighted(&weights)];
-            let data_size = match kind.canonical_size() {
-                Some(s) => s,
-                // Index into the table's size index directly — same RNG
-                // stream as `choose(&sizes_for(kind))` without materializing
-                // the size list per kernel.
-                None => lookup.size_at(kind, rng.gen_index(lookup.size_count(kind))),
-            };
-            Kernel::new(kind, data_size)
-        })
-        .collect()
+    Kernel::new(kind, data_size)
 }
 
 /// Fit a kernel series into the DFG Type-1 shape (Figure 3): kernels
@@ -168,14 +205,18 @@ pub fn build_type1(kernels: &[Kernel]) -> KernelDag {
     for &k in kernels {
         g.add_node(k);
     }
-    if kernels.len() >= 2 {
-        let last = NodeId::new(kernels.len() - 1);
-        for i in 0..kernels.len() - 1 {
-            g.add_edge(NodeId::new(i), last)
-                .expect("type-1 edges are fresh and acyclic");
-        }
+    for (from, to) in type1_edges(kernels.len()) {
+        g.add_edge(NodeId::new(from), NodeId::new(to))
+            .expect("type-1 edges are fresh and acyclic");
     }
     g
+}
+
+/// The edges of the Type-1 shape over `n` kernels, in the order
+/// [`build_type1`] adds them: `(i, n−1)` for every `i < n−1`.
+pub fn type1_edges(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let last = n.saturating_sub(1);
+    (0..last).map(move |i| (i, last))
 }
 
 /// Salt for the Type-2 partition RNG stream: layout draws must not share

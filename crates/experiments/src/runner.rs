@@ -106,6 +106,18 @@ fn baseline_cache() -> &'static BaselineCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Publish a baseline block under `key` and return the block the cache
+/// holds for it. A concurrent [`prewarm`] may have published its own block
+/// for the same key first; the caller then adopts that one, so every
+/// matrix at one `(family, rate)` shares a single baseline allocation.
+fn publish_baseline(
+    cache: &BaselineCache,
+    key: (DfgType, Rate),
+    block: Arc<BaselineBlock>,
+) -> Arc<BaselineBlock> {
+    Arc::clone(cache.lock().entry(key).or_insert(block))
+}
+
 /// Worker count for sweep pools: one thread per core.
 fn workers(tasks: usize) -> usize {
     std::thread::available_parallelism()
@@ -320,17 +332,12 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
         }
     }
     for (block, computed) in blocks.iter_mut().zip(base_results) {
-        if block.cached.is_none() {
-            block.cached = Some(Arc::new(computed));
-        }
-    }
-    {
-        let mut baseline_cached = baseline_cache().lock();
-        for block in &blocks {
-            baseline_cached
-                .entry((block.ty, block.rate))
-                .or_insert_with(|| Arc::clone(block.cached.as_ref().expect("filled above")));
-        }
+        let block_arc = block.cached.take().unwrap_or_else(|| Arc::new(computed));
+        block.cached = Some(publish_baseline(
+            baseline_cache(),
+            (block.ty, block.rate),
+            block_arc,
+        ));
     }
 
     // Assemble the full seven-column matrices (APT first, Tables-8/9 order).
@@ -513,6 +520,32 @@ mod tests {
         }
         assert_eq!(a[0][0].policy, "APT(α=8)");
         assert_eq!(b[0][0].policy, "APT(α=16)");
+    }
+
+    #[test]
+    fn concurrent_baseline_publishers_adopt_one_block() {
+        // Two prewarm waves that both simulated the same (family, rate)
+        // block: the barrier holds both until each has its own block in
+        // hand, so their publishes race on a key neither has seen. The
+        // loser must come away with the winner's allocation.
+        let cache = BaselineCache::default();
+        let barrier = std::sync::Barrier::new(2);
+        let key = (DfgType::Type2, Rate::Gbps4);
+        let (a, b) = std::thread::scope(|s| {
+            let publish = || {
+                let own: Arc<BaselineBlock> = Arc::new(Vec::new());
+                barrier.wait();
+                let kept = publish_baseline(&cache, key, Arc::clone(&own));
+                (own, kept)
+            };
+            let ha = s.spawn(publish);
+            let hb = s.spawn(publish);
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "each wave built its own block");
+        assert!(Arc::ptr_eq(&a.1, &b.1), "the waves kept different blocks");
+        let cached = Arc::clone(cache.lock().get(&key).unwrap());
+        assert!(Arc::ptr_eq(&a.1, &cached));
     }
 
     #[test]

@@ -1127,7 +1127,8 @@ impl EngineCore {
     }
 
     /// Run the policy to a fixpoint at the current instant. The view borrows
-    /// the incrementally maintained snapshots — nothing is rebuilt here.
+    /// the incrementally maintained snapshots — nothing is rebuilt here. An
+    /// empty ready set is a fixpoint without a `decide` call.
     pub(crate) fn fixpoint(
         &mut self,
         ctx: EngineCtx<'_>,
@@ -1135,6 +1136,11 @@ impl EngineCore {
         out: &mut AssignmentBuf,
     ) -> Result<(), BaseError> {
         loop {
+            // `decide` may only emit ready nodes, so with none there is
+            // nothing it could do: skip the call.
+            if self.ready.is_empty() {
+                return Ok(());
+            }
             out.clear();
             #[cfg(feature = "self-profile")]
             self.prof_enter(apt_telemetry::Phase::Decide);

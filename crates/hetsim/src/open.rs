@@ -25,6 +25,24 @@
 //!   detached and returned to the free list, and a [`CompletedJob`] is
 //!   queued for [`OpenEngine::drain_completed`].
 //!
+//! ## Allocation-free steady state
+//!
+//! Per-job bookkeeping lives in dense, recycled storage, so once the
+//! arena has grown to the in-flight peak, admitting and retiring a job
+//! allocates nothing:
+//!
+//! * **Live-job slab.** In-flight jobs sit in a `Vec<Option<LiveJob>>`
+//!   whose vacated entries are reused LIFO. Each slot records its job's
+//!   slab index, and each entry carries its [`JobId`], so retirement,
+//!   fault settlement and cancellation index the slab directly. The slab
+//!   index never reaches a schedule: jobs are identified by [`JobId`].
+//! * **Recycled lists.** A job's slot list comes from a pool and returns to
+//!   it when the job retires or is shed. The records of a [`CompletedJob`]
+//!   go back the other way: [`OpenEngine::drain_completed`] first reclaims
+//!   the `records` vector of every job still in its `out` argument, then
+//!   refills `out`. A driver that drains into the same vector every step
+//!   therefore reuses the same record lists for the whole run.
+//!
 //! ## FCFS across recycled slots
 //!
 //! Dynamic policies iterate the ready set in "first-come-first-serve"
@@ -49,7 +67,6 @@ use apt_base::{BaseError, SimDuration, SimTime};
 use apt_dfg::{Kernel, KernelDag, LookupTable, NodeId};
 use apt_faults::{FaultPlan, FaultTotals, RetryPolicy};
 use apt_trace::{TraceEvent, TraceSink};
-use std::collections::BTreeMap;
 
 /// Identifier of one admitted job: its admission index (0, 1, 2, … in
 /// admission order).
@@ -147,8 +164,9 @@ pub fn validate_job(kernel_count: usize, edges: &[(u32, u32)]) -> Result<(), Bas
     Ok(())
 }
 
-/// Bookkeeping for a job still in flight.
+/// Bookkeeping for a job still in flight: one entry of the live-job slab.
 struct LiveJob {
+    id: JobId,
     arrival: SimTime,
     /// Absolute deadline, if the job carries one.
     deadline: Option<SimTime>,
@@ -171,11 +189,18 @@ pub struct OpenEngine<'a> {
     /// Per-slot cost rows, rebound on admission.
     cost: CostModel,
     core: EngineCore,
-    /// Owning job of each slot.
-    slot_job: Vec<u64>,
+    /// Slab index of each slot's owning job.
+    slot_job: Vec<usize>,
     /// Free slots, reused LIFO.
     free: Vec<NodeId>,
-    live: BTreeMap<u64, LiveJob>,
+    /// The live-job slab: in-flight jobs, `None` where an entry is vacant.
+    live: Vec<Option<LiveJob>>,
+    /// Vacant slab entries, reused LIFO.
+    live_free: Vec<usize>,
+    /// Cleared slot lists for the next admissions.
+    slot_lists: Vec<Vec<NodeId>>,
+    /// Cleared record lists reclaimed by `drain_completed`.
+    record_lists: Vec<Vec<TaskRecord>>,
     next_job: u64,
     /// Global admission sequence feeding the ordered ready set.
     next_seq: u64,
@@ -217,7 +242,10 @@ impl<'a> OpenEngine<'a> {
             core,
             slot_job: Vec::new(),
             free: Vec::new(),
-            live: BTreeMap::new(),
+            live: Vec::new(),
+            live_free: Vec::new(),
+            slot_lists: Vec::new(),
+            record_lists: Vec::new(),
             next_job: 0,
             next_seq: 0,
             completed: Vec::new(),
@@ -352,7 +380,7 @@ impl<'a> OpenEngine<'a> {
     /// Jobs admitted but not yet fully retired.
     #[inline]
     pub fn in_flight_jobs(&self) -> usize {
-        self.live.len()
+        self.live.len() - self.live_free.len()
     }
 
     /// Kernels belonging to in-flight jobs.
@@ -425,8 +453,15 @@ impl<'a> OpenEngine<'a> {
         validate_job(kernels.len(), edges)?;
         let job = self.next_job;
         self.next_job += 1;
+        let entry = match self.live_free.pop() {
+            Some(i) => i,
+            None => {
+                self.live.push(None);
+                self.live.len() - 1
+            }
+        };
         let deadline_at = deadline.unwrap_or(SimTime::MAX);
-        let mut slots = Vec::with_capacity(kernels.len());
+        let mut slots = self.slot_lists.pop().unwrap_or_default();
         for &kernel in kernels {
             let slot = match self.free.pop() {
                 Some(s) => {
@@ -453,7 +488,7 @@ impl<'a> OpenEngine<'a> {
             self.core.locations[slot.index()] = None;
             self.core.deadlines[slot.index()] = deadline_at;
             debug_assert!(self.core.records[slot.index()].is_none());
-            self.slot_job[slot.index()] = job;
+            self.slot_job[slot.index()] = entry;
             self.core.ready.set_seq(slot, self.next_seq);
             if self.order == ReadyOrder::EarliestDeadline {
                 // EDF priority: the absolute deadline in ns (MAX for
@@ -505,17 +540,15 @@ impl<'a> OpenEngine<'a> {
             }
         }
         self.in_flight_kernels += slots.len();
-        self.live.insert(
-            job,
-            LiveJob {
-                arrival: at,
-                deadline,
-                slots,
-                remaining: kernels.len(),
-                retries: 0,
-            },
-        );
-        self.peak_in_flight_jobs = self.peak_in_flight_jobs.max(self.live.len());
+        self.live[entry] = Some(LiveJob {
+            id: JobId(job),
+            arrival: at,
+            deadline,
+            slots,
+            remaining: kernels.len(),
+            retries: 0,
+        });
+        self.peak_in_flight_jobs = self.peak_in_flight_jobs.max(self.in_flight_jobs());
         self.peak_in_flight_kernels = self.peak_in_flight_kernels.max(self.in_flight_kernels);
         Ok(JobId(job))
     }
@@ -583,11 +616,44 @@ impl<'a> OpenEngine<'a> {
         self.advance()
     }
 
-    /// Move every job completed since the last drain into `out` (cleared
-    /// first), in completion order.
+    /// Move every job completed since the last drain into `out`, in
+    /// completion order.
+    ///
+    /// `out` is emptied first, and the engine **reclaims** the `records`
+    /// vector of every job still in it for later completions: jobs left in
+    /// `out` from the previous drain are consumed, not just dropped. Pass
+    /// the same vector on every step (and move out any job you need to
+    /// keep) and completions allocate no record lists in steady state.
     pub fn drain_completed(&mut self, out: &mut Vec<CompletedJob>) {
-        out.clear();
+        for job in out.drain(..) {
+            let mut records = job.records;
+            records.clear();
+            self.record_lists.push(records);
+        }
         out.append(&mut self.completed);
+    }
+
+    /// Take a vacated slab entry's job and recycle the entry.
+    fn vacate(&mut self, entry: usize) -> LiveJob {
+        // apt-lint: allow(hot-path-panic, callers pass the slab entry of a job still in flight)
+        let live = self.live[entry].take().expect("vacating a live job");
+        self.live_free.push(entry);
+        live
+    }
+
+    /// Queue a retired or shed job's [`CompletedJob`] and recycle its slot
+    /// list.
+    fn complete(&mut self, mut live: LiveJob, records: Vec<TaskRecord>, failed: bool) {
+        self.in_flight_kernels -= live.slots.len();
+        live.slots.clear();
+        self.slot_lists.push(live.slots);
+        self.completed.push(CompletedJob {
+            job: live.id,
+            arrival: live.arrival,
+            deadline: live.deadline,
+            records,
+            failed,
+        });
     }
 
     /// Free the slots of every job whose last kernel just finished and queue
@@ -596,21 +662,19 @@ impl<'a> OpenEngine<'a> {
         let mut finished = std::mem::take(&mut self.finished_buf);
         self.core.take_finished(&mut finished);
         for &node in &finished {
-            let job = self.slot_job[node.index()];
-            let live = self
-                .live
-                .get_mut(&job)
-                // apt-lint: allow(hot-path-panic, slot_job maps every in-flight slot to an
-                // entry in the live map)
+            let entry = self.slot_job[node.index()];
+            let live = self.live[entry]
+                .as_mut()
+                // apt-lint: allow(hot-path-panic, slot_job maps every in-flight slot to its
+                // job's occupied slab entry)
                 .expect("finished node has a live job");
             live.remaining -= 1;
             if live.remaining > 0 {
                 continue;
             }
-            // apt-lint: allow(hot-path-panic, get_mut above proved the key present and
-            // remaining hit zero this event)
-            let live = self.live.remove(&job).expect("checked above");
-            let mut records = Vec::with_capacity(live.slots.len());
+            let live = self.vacate(entry);
+            let mut records = self.record_lists.pop().unwrap_or_default();
+            records.reserve(live.slots.len());
             for (local, &slot) in live.slots.iter().enumerate() {
                 let mut record = self.core.records[slot.index()]
                     .take()
@@ -622,14 +686,7 @@ impl<'a> OpenEngine<'a> {
                 self.dag.detach_node(slot);
                 self.free.push(slot);
             }
-            self.in_flight_kernels -= live.slots.len();
-            self.completed.push(CompletedJob {
-                job: JobId(job),
-                arrival: live.arrival,
-                deadline: live.deadline,
-                records,
-                failed: false,
-            });
+            self.complete(live, records, false);
         }
         self.finished_buf = finished;
     }
@@ -643,22 +700,22 @@ impl<'a> OpenEngine<'a> {
         }
         let mut retried = std::mem::take(&mut self.core.retried_nodes);
         for &node in &retried {
-            let job = self.slot_job[node.index()];
-            let Some(live) = self.live.get_mut(&job) else {
+            let entry = self.slot_job[node.index()];
+            let Some(live) = self.live[entry].as_mut() else {
                 continue; // job already shed this batch
             };
             live.retries += 1;
             if live.retries > self.retry.job_retry_budget {
-                self.cancel_job(job)?;
+                self.cancel_job(entry)?;
             }
         }
         retried.clear();
         self.core.retried_nodes = retried;
         let mut failed = std::mem::take(&mut self.core.failed_nodes);
         for &node in &failed {
-            let job = self.slot_job[node.index()];
-            if self.live.contains_key(&job) {
-                self.cancel_job(job)?;
+            let entry = self.slot_job[node.index()];
+            if self.live[entry].is_some() {
+                self.cancel_job(entry)?;
             }
         }
         failed.clear();
@@ -670,11 +727,10 @@ impl<'a> OpenEngine<'a> {
     /// engine (ready set, processor queues, in-flight execution, pending
     /// retries), free its slots, and deliver a [`CompletedJob`] with
     /// `failed: true` carrying the records of the kernels that did finish.
-    fn cancel_job(&mut self, job: u64) -> Result<(), BaseError> {
-        // apt-lint: allow(hot-path-panic, cancellation targets come from the live map's own
-        // keys)
-        let live = self.live.remove(&job).expect("cancelling a live job");
-        let mut records = Vec::new();
+    /// `entry` is the job's slab index.
+    fn cancel_job(&mut self, entry: usize) -> Result<(), BaseError> {
+        let live = self.vacate(entry);
+        let mut records = self.record_lists.pop().unwrap_or_default();
         for (local, &slot) in live.slots.iter().enumerate() {
             if let Some(mut record) = self.core.records[slot.index()].take() {
                 record.node = NodeId::new(local);
@@ -700,15 +756,8 @@ impl<'a> OpenEngine<'a> {
             self.dag.detach_node(slot);
             self.free.push(slot);
         }
-        self.in_flight_kernels -= live.slots.len();
         self.core.note_job_failed();
-        self.completed.push(CompletedJob {
-            job: JobId(job),
-            arrival: live.arrival,
-            deadline: live.deadline,
-            records,
-            failed: true,
-        });
+        self.complete(live, records, true);
         Ok(())
     }
 }
@@ -820,6 +869,85 @@ mod tests {
         }
         let stats = engine.proc_stats();
         assert_eq!(stats.iter().map(|s| s.kernels).sum::<usize>(), 50);
+    }
+
+    #[test]
+    fn drained_record_lists_are_reclaimed_without_stale_records() {
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let mut policy = FirstFit;
+        let mut done = Vec::new();
+        // Each drain into the same vector reclaims the previous job's
+        // record list, and the next retirement reuses it: a shorter job
+        // must not inherit any of a longer one's records.
+        for (j, n) in [3usize, 1, 1, 2].into_iter().enumerate() {
+            let chain: Vec<(u32, u32)> = (1..n as u32).map(|i| (i - 1, i)).collect();
+            engine.admit(&vec![bfs(); n], &chain, engine.now()).unwrap();
+            run_to_completion(&mut engine, &mut policy);
+            engine.drain_completed(&mut done);
+            assert_eq!(done.len(), 1);
+            assert_eq!(done[0].job, JobId(j as u64));
+            assert_eq!(done[0].records.len(), n);
+            for (local, rec) in done[0].records.iter().enumerate() {
+                assert_eq!(rec.node, NodeId::new(local));
+            }
+        }
+        // A drain with nothing completed still empties `out`.
+        engine.drain_completed(&mut done);
+        assert!(done.is_empty());
+    }
+
+    #[test]
+    fn shed_jobs_recycle_slab_entries_and_slots() {
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let mut policy = FirstFit;
+        engine.prepare(&mut policy).unwrap();
+        engine.arm_faults(
+            FaultPlan::seeded(11).with_transient(1.0),
+            RetryPolicy::no_retries(),
+        );
+        let mut done = Vec::new();
+        // Job 0: a three-kernel chain, shed when its head fails. (Chains
+        // keep one kernel per job running, so no job is shed with a kernel
+        // still in flight and every record list must come back empty.)
+        engine
+            .admit(&[bfs(), bfs(), bfs()], &[(0, 1), (1, 2)], SimTime::ZERO)
+            .unwrap();
+        run_to_completion(&mut engine, &mut policy);
+        engine.drain_completed(&mut done);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].job, JobId(0));
+        assert!(done[0].failed);
+        assert!(done[0].records.is_empty());
+        assert_eq!(engine.in_flight_jobs(), 0);
+        // Jobs of other sizes reuse its slab entry and slots one by one,
+        // then together; each is shed on its own terms.
+        let mut expected = 1u64;
+        for sizes in [&[1usize][..], &[2], &[1, 2]] {
+            let at = engine.now();
+            for &n in sizes {
+                let chain: Vec<(u32, u32)> = (1..n as u32).map(|i| (i - 1, i)).collect();
+                engine.admit(&vec![bfs(); n], &chain, at).unwrap();
+            }
+            run_to_completion(&mut engine, &mut policy);
+            engine.drain_completed(&mut done);
+            let mut ids: Vec<u64> = done.iter().map(|j| j.job.0).collect();
+            ids.sort_unstable();
+            let want: Vec<u64> = (expected..expected + sizes.len() as u64).collect();
+            assert_eq!(ids, want);
+            for job in &done {
+                assert!(job.failed, "job {:?} ran under p = 1", job.job);
+                assert!(job.records.is_empty(), "stale records leaked");
+            }
+            expected += sizes.len() as u64;
+            assert_eq!(engine.in_flight_jobs(), 0);
+        }
+        assert_eq!(engine.arena_slots(), 3, "shed slots were not reused");
+        assert_eq!(engine.peak_in_flight_jobs(), 2);
+        assert_eq!(engine.fault_totals().jobs_failed, 5);
     }
 
     #[test]

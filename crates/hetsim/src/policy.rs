@@ -215,7 +215,10 @@ pub trait Policy {
     /// assignments to apply now into `out` (handed over cleared); leave it
     /// empty to wait. See [`AssignmentBuf`] for the buffer's reuse contract.
     ///
-    /// Every pushed node must currently be in `view.ready`.
+    /// Every pushed node must currently be in `view.ready`. The engine
+    /// therefore never calls `decide` with an empty ready set: the fixpoint
+    /// ends there without consulting the policy, so state a policy keeps
+    /// across calls (a cursor, an RNG) advances only when there is work.
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf);
 
     /// The policy's runtime-tunable APT-family threshold α, when it has

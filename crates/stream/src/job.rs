@@ -9,17 +9,26 @@
 //! already knows (Type-1/Type-2 via the `apt-dfg` generators, plus the
 //! chain and diamond micro-shapes of the examples) with per-job seeded
 //! kernel draws.
+//!
+//! A template's kernel and edge lists are shared slices, so cloning a
+//! template copies no list. Sources use that to intern what repeats: a
+//! per-source `TemplateCache` holds the family's edge list (the same for
+//! every chain, diamond or Type-1 job of one size) and one pre-validated
+//! template per single-kernel `(kind, size index)` draw. A single-kernel
+//! arrival therefore allocates nothing once its kernel has been seen, and
+//! a chain, diamond or Type-1 arrival allocates only its kernel list.
 
 use apt_base::{BaseError, SimDuration};
-use apt_dfg::generator::{generate, DfgType, StreamConfig};
-use apt_dfg::{Kernel, KernelDag, LookupTable, SplitMix64};
+use apt_dfg::generator::{generate, kernel_at, type1_edges, KernelSampler, StreamConfig};
+use apt_dfg::{DfgType, Kernel, KernelDag, KernelKind, LookupTable, SplitMix64};
+use std::sync::Arc;
 
 /// One job: kernels in stream order, ascending intra-job edges, and an
 /// optional relative deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobTemplate {
-    kernels: Vec<Kernel>,
-    edges: Vec<(u32, u32)>,
+    kernels: Arc<[Kernel]>,
+    edges: Arc<[(u32, u32)]>,
     deadline: Option<SimDuration>,
 }
 
@@ -32,6 +41,15 @@ impl JobTemplate {
     /// [`apt_hetsim::validate_job`], so a template that constructs can
     /// never fail admission mid-way.
     pub fn new(kernels: Vec<Kernel>, edges: Vec<(u32, u32)>) -> Result<JobTemplate, BaseError> {
+        JobTemplate::from_shared(kernels.into(), edges.into())
+    }
+
+    /// [`JobTemplate::new`] over lists that may be shared with other
+    /// templates.
+    fn from_shared(
+        kernels: Arc<[Kernel]>,
+        edges: Arc<[(u32, u32)]>,
+    ) -> Result<JobTemplate, BaseError> {
         apt_hetsim::validate_job(kernels.len(), &edges)?;
         Ok(JobTemplate {
             kernels,
@@ -77,7 +95,7 @@ impl JobTemplate {
             &self.edges
         } else {
             sorted_edges = {
-                let mut e = self.edges.clone();
+                let mut e = self.edges.to_vec();
                 e.sort_unstable();
                 e
             };
@@ -105,7 +123,7 @@ impl JobTemplate {
             .edges()
             .map(|(a, b)| (a.index() as u32, b.index() as u32))
             .collect();
-        JobTemplate::new(kernels, edges)
+        JobTemplate::from_shared(kernels, edges)
     }
 
     /// The kernels, in stream order.
@@ -175,50 +193,112 @@ impl JobFamily {
 
     /// Draw one job instance. Deterministic in the RNG state.
     pub fn instantiate(self, rng: &mut SplitMix64, lookup: &LookupTable) -> JobTemplate {
+        self.draw(rng, lookup, &mut TemplateCache::default())
+    }
+
+    /// [`JobFamily::instantiate`] with repeating parts interned in `cache`:
+    /// the same draws and the same template, but a single kernel seen
+    /// before costs a clone of its cached template, and a chain, diamond
+    /// or Type-1 job reuses the cached edge list. `cache` must only ever see one family
+    /// and one `lookup`.
+    pub(crate) fn draw(
+        self,
+        rng: &mut SplitMix64,
+        lookup: &LookupTable,
+        cache: &mut TemplateCache,
+    ) -> JobTemplate {
         // Sub-seed per job: the family generators own their kind/size draw
         // streams, so family structure changes never shift the arrival
         // process draws (and vice versa).
         let seed = rng.next_u64();
         match self {
-            JobFamily::Type1 { len } | JobFamily::Type2 { len } => {
-                let ty = match self {
-                    JobFamily::Type1 { .. } => DfgType::Type1,
-                    _ => DfgType::Type2,
-                };
-                let dag = generate(ty, &StreamConfig::new(len, seed), lookup);
+            JobFamily::Type1 { len } => {
+                // `generate`'s Type-1 graph without building it: the same
+                // kernel series, and edges that depend only on `len`.
+                let edges = cache.edges(|| {
+                    type1_edges(len)
+                        .map(|(a, b)| (a as u32, b as u32))
+                        .collect()
+                });
+                let kernels = kernel_series(&StreamConfig::new(len, seed), lookup);
+                JobTemplate::from_shared(kernels, edges).expect("generator edges are ascending")
+            }
+            JobFamily::Type2 { len } => {
+                let dag = generate(DfgType::Type2, &StreamConfig::new(len, seed), lookup);
                 JobTemplate::from_dag(&dag).expect("generator edges are ascending")
             }
             JobFamily::Single => {
-                let kernels = draw_kernels(seed, 1, lookup);
-                JobTemplate::new(kernels, Vec::new()).expect("no edges")
+                // The one-kernel case of the micro-shapes' uniform series.
+                let (kind, index) =
+                    KernelSampler::new(&StreamConfig::uniform(1, seed)).next_key(lookup);
+                cache.single(kind, index, lookup)
             }
             JobFamily::Chain { len } => {
                 let len = len.max(1);
-                let kernels = draw_kernels(seed, len, lookup);
-                let edges = (0..len.saturating_sub(1))
-                    .map(|i| (i as u32, i as u32 + 1))
-                    .collect();
-                JobTemplate::new(kernels, edges).expect("chain edges ascend")
+                let edges = cache.edges(|| {
+                    (0..len.saturating_sub(1))
+                        .map(|i| (i as u32, i as u32 + 1))
+                        .collect()
+                });
+                let kernels = kernel_series(&StreamConfig::uniform(len, seed), lookup);
+                JobTemplate::from_shared(kernels, edges).expect("chain edges ascend")
             }
             JobFamily::Diamond { width } => {
                 let width = width.max(1);
-                let kernels = draw_kernels(seed, width + 2, lookup);
-                let sink = (width + 1) as u32;
-                let mut edges = Vec::with_capacity(2 * width);
-                for m in 1..=width as u32 {
-                    edges.push((0, m));
-                    edges.push((m, sink));
-                }
-                JobTemplate::new(kernels, edges).expect("diamond edges ascend")
+                let edges = cache.edges(|| {
+                    let sink = (width + 1) as u32;
+                    let mut edges = Vec::with_capacity(2 * width);
+                    for m in 1..=width as u32 {
+                        edges.push((0, m));
+                        edges.push((m, sink));
+                    }
+                    edges
+                });
+                let kernels = kernel_series(&StreamConfig::uniform(width + 2, seed), lookup);
+                JobTemplate::from_shared(kernels, edges).expect("diamond edges ascend")
             }
         }
     }
 }
 
-/// Seeded kernel series for the micro-shapes, matching the uniform-mix
-/// stream generator's draw structure.
-fn draw_kernels(seed: u64, len: usize, lookup: &LookupTable) -> Vec<Kernel> {
-    apt_dfg::generator::generate_kernels(&StreamConfig::uniform(len, seed), lookup)
+/// The parts of one source's jobs that repeat: the family's edge list
+/// (chains, diamonds and Type-1 graphs of one size draw new kernels but
+/// never new edges) and the single-kernel templates, one per `(kind, size index)`
+/// key of [`KernelSampler::next_key`]. It starts empty, so building a
+/// source allocates nothing; each part is built the first time a draw
+/// needs it, and every later use is a pointer clone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TemplateCache {
+    edges: Option<Arc<[(u32, u32)]>>,
+    singles: [Vec<Option<JobTemplate>>; KernelKind::ALL.len()],
+}
+
+impl TemplateCache {
+    /// The family's edge list, built by `make` on first use.
+    fn edges(&mut self, make: impl FnOnce() -> Vec<(u32, u32)>) -> Arc<[(u32, u32)]> {
+        Arc::clone(self.edges.get_or_insert_with(|| make().into()))
+    }
+
+    /// The single-kernel template for `(kind, size_index)` under `lookup`.
+    fn single(&mut self, kind: KernelKind, size_index: usize, lookup: &LookupTable) -> JobTemplate {
+        let row = &mut self.singles[kind.index()];
+        if row.len() <= size_index {
+            row.resize(size_index + 1, None);
+        }
+        row[size_index]
+            .get_or_insert_with(|| {
+                JobTemplate::new(vec![kernel_at(kind, size_index, lookup)], Vec::new())
+                    .expect("one kernel, no edges")
+            })
+            .clone()
+    }
+}
+
+/// [`apt_dfg::generator::generate_kernels`], collected straight into a
+/// shared slice. The micro-shapes use the uniform mix.
+fn kernel_series(cfg: &StreamConfig, lookup: &LookupTable) -> Arc<[Kernel]> {
+    let mut sampler = KernelSampler::new(cfg);
+    (0..cfg.len).map(|_| sampler.next_kernel(lookup)).collect()
 }
 
 #[cfg(test)]
@@ -231,7 +311,7 @@ mod tests {
 
     #[test]
     fn templates_validate_edges() {
-        let ks = draw_kernels(1, 3, lookup());
+        let ks = kernel_series(&StreamConfig::uniform(3, 1), lookup()).to_vec();
         assert!(JobTemplate::new(ks.clone(), vec![(0, 1), (1, 2)]).is_ok());
         assert!(JobTemplate::new(ks.clone(), vec![(1, 1)]).is_err());
         assert!(JobTemplate::new(ks.clone(), vec![(2, 1)]).is_err());
@@ -266,7 +346,7 @@ mod tests {
 
     #[test]
     fn deadlines_tag_and_report() {
-        let ks = draw_kernels(1, 2, lookup());
+        let ks = kernel_series(&StreamConfig::uniform(2, 1), lookup()).to_vec();
         let plain = JobTemplate::new(ks, vec![(0, 1)]).unwrap();
         assert_eq!(plain.deadline(), None);
         let tagged = plain.clone().with_deadline(SimDuration::from_ms(250));
@@ -311,6 +391,42 @@ mod tests {
     }
 
     #[test]
+    fn cached_draws_match_the_generators() {
+        // The interned and shared-edge paths must yield exactly the jobs
+        // the `apt-dfg` generators build from the same per-job sub-seed.
+        use apt_dfg::generator::generate_kernels;
+        let lookup = lookup();
+        for family in [
+            JobFamily::Single,
+            JobFamily::Chain { len: 3 },
+            JobFamily::Diamond { width: 2 },
+            JobFamily::Type1 { len: 9 },
+            JobFamily::Type1 { len: 1 },
+        ] {
+            let mut cache = TemplateCache::default();
+            let mut rng = SplitMix64::new(17);
+            for _ in 0..40 {
+                let seed = rng.clone().next_u64();
+                let job = family.draw(&mut rng, lookup, &mut cache);
+                let want = match family {
+                    JobFamily::Type1 { len } => JobTemplate::from_dag(&generate(
+                        DfgType::Type1,
+                        &StreamConfig::new(len, seed),
+                        lookup,
+                    ))
+                    .unwrap(),
+                    _ => {
+                        let n = family.kernels_per_job();
+                        let kernels = generate_kernels(&StreamConfig::uniform(n, seed), lookup);
+                        JobTemplate::new(kernels, job.edges().to_vec()).unwrap()
+                    }
+                };
+                assert_eq!(job, want, "{family:?} diverged from its generator");
+            }
+        }
+    }
+
+    #[test]
     fn instantiation_is_deterministic_per_rng_state() {
         let mut a = SplitMix64::new(42);
         let mut b = SplitMix64::new(42);
@@ -318,6 +434,7 @@ mod tests {
             JobFamily::Single,
             JobFamily::Chain { len: 3 },
             JobFamily::Diamond { width: 2 },
+            JobFamily::Type1 { len: 12 },
             JobFamily::Type2 { len: 15 },
         ] {
             assert_eq!(

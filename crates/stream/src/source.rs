@@ -30,8 +30,8 @@
 //! per platform (and pinned by the determinism tests on any one machine).
 
 use crate::deadline::DeadlineSpec;
-use crate::job::{JobFamily, JobTemplate};
-use apt_base::{SimDuration, SimTime};
+use crate::job::{JobFamily, JobTemplate, TemplateCache};
+use apt_base::{BaseError, SimDuration, SimTime};
 use apt_dfg::{LookupTable, SplitMix64};
 
 /// Salt separating a source's deadline-draw RNG stream from its
@@ -50,6 +50,28 @@ pub trait Source {
     /// reporting).
     fn remaining_hint(&self) -> Option<u64> {
         None
+    }
+}
+
+/// `rate` if it is a positive, finite number of jobs per second.
+fn positive_rate(what: &str, rate: f64) -> Result<f64, BaseError> {
+    if rate > 0.0 && rate.is_finite() {
+        Ok(rate)
+    } else {
+        Err(BaseError::InvalidConfig {
+            reason: format!("{what} must be positive and finite, got {rate}"),
+        })
+    }
+}
+
+/// `d` if it is longer than zero.
+fn positive_duration(what: &str, d: SimDuration) -> Result<SimDuration, BaseError> {
+    if d.is_zero() {
+        Err(BaseError::InvalidConfig {
+            reason: format!("{what} must be positive"),
+        })
+    } else {
+        Ok(d)
     }
 }
 
@@ -77,13 +99,15 @@ pub struct PoissonSource<'a> {
     remaining: u64,
     deadlines: DeadlineSpec,
     deadline_rng: SplitMix64,
+    templates: TemplateCache,
 }
 
 impl<'a> PoissonSource<'a> {
     /// `jobs` arrivals at `rate` jobs per simulated second, drawn from
     /// `seed`, instantiating kernels from `lookup` (pass the same table the
     /// driver schedules against — [`LookupTable::paper`] for the paper
-    /// machine). Panics on a non-positive rate.
+    /// machine). Panics on a non-positive or non-finite rate; see
+    /// [`PoissonSource::try_new`].
     pub fn new(
         lookup: &'a LookupTable,
         rate_per_sec: f64,
@@ -91,11 +115,21 @@ impl<'a> PoissonSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> PoissonSource<'a> {
-        assert!(
-            rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-            "arrival rate must be positive, got {rate_per_sec}"
-        );
-        PoissonSource {
+        PoissonSource::try_new(lookup, rate_per_sec, jobs, family, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PoissonSource::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-positive or non-finite rate instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        rate_per_sec: f64,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<PoissonSource<'a>, BaseError> {
+        let rate_per_sec = positive_rate("arrival rate", rate_per_sec)?;
+        Ok(PoissonSource {
             lookup,
             family,
             rng: SplitMix64::new(seed),
@@ -104,7 +138,8 @@ impl<'a> PoissonSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+            templates: TemplateCache::default(),
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec`. Deadline
@@ -123,7 +158,9 @@ impl Source for PoissonSource<'_> {
         }
         self.remaining -= 1;
         self.t_ns += exp_gap_ns(&mut self.rng, self.mean_gap_ns);
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
+        let job = self
+            .family
+            .draw(&mut self.rng, self.lookup, &mut self.templates);
         let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
         Some((SimTime::from_ns(self.t_ns), job))
     }
@@ -148,12 +185,14 @@ pub struct OnOffSource<'a> {
     remaining: u64,
     deadlines: DeadlineSpec,
     deadline_rng: SplitMix64,
+    templates: TemplateCache,
 }
 
 impl<'a> OnOffSource<'a> {
     /// `jobs` arrivals in bursts: Poisson at `burst_rate` jobs/s while ON,
     /// with exponential ON/OFF period durations of the given means.
-    /// Kernels are instantiated from `lookup`.
+    /// Kernels are instantiated from `lookup`. Panics on a bad rate or a
+    /// zero mean period; see [`OnOffSource::try_new`].
     pub fn new(
         lookup: &'a LookupTable,
         burst_rate_per_sec: f64,
@@ -163,16 +202,37 @@ impl<'a> OnOffSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> OnOffSource<'a> {
-        assert!(
-            burst_rate_per_sec > 0.0 && burst_rate_per_sec.is_finite(),
-            "burst rate must be positive, got {burst_rate_per_sec}"
-        );
-        assert!(!mean_on.is_zero(), "mean ON period must be positive");
-        assert!(!mean_off.is_zero(), "mean OFF period must be positive");
+        OnOffSource::try_new(
+            lookup,
+            burst_rate_per_sec,
+            mean_on,
+            mean_off,
+            jobs,
+            family,
+            seed,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`OnOffSource::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-positive or non-finite burst rate or a zero mean ON/OFF period
+    /// instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        burst_rate_per_sec: f64,
+        mean_on: SimDuration,
+        mean_off: SimDuration,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<OnOffSource<'a>, BaseError> {
+        let burst_rate_per_sec = positive_rate("burst rate", burst_rate_per_sec)?;
+        let mean_on = positive_duration("mean ON period", mean_on)?;
+        let mean_off = positive_duration("mean OFF period", mean_off)?;
         let mut rng = SplitMix64::new(seed);
         let mean_on_ns = mean_on.as_ns() as f64;
         let on_end_ns = exp_gap_ns(&mut rng, mean_on_ns);
-        OnOffSource {
+        Ok(OnOffSource {
             lookup,
             family,
             rng,
@@ -184,7 +244,8 @@ impl<'a> OnOffSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+            templates: TemplateCache::default(),
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
@@ -216,7 +277,9 @@ impl Source for OnOffSource<'_> {
             self.t_ns = self.on_end_ns + off;
             self.on_end_ns = self.t_ns + on;
         }
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
+        let job = self
+            .family
+            .draw(&mut self.rng, self.lookup, &mut self.templates);
         let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
         Some((SimTime::from_ns(self.t_ns), job))
     }
@@ -242,12 +305,14 @@ pub struct DiurnalSource<'a> {
     remaining: u64,
     deadlines: DeadlineSpec,
     deadline_rng: SplitMix64,
+    templates: TemplateCache,
 }
 
 impl<'a> DiurnalSource<'a> {
     /// `jobs` arrivals with instantaneous rate
     /// `base + swing · sin²(π t / period)` jobs per second. Kernels are
-    /// instantiated from `lookup`.
+    /// instantiated from `lookup`. Panics on a bad rate or a zero period;
+    /// see [`DiurnalSource::try_new`].
     pub fn new(
         lookup: &'a LookupTable,
         base_rate_per_sec: f64,
@@ -257,12 +322,40 @@ impl<'a> DiurnalSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> DiurnalSource<'a> {
-        assert!(
-            base_rate_per_sec > 0.0 && swing_rate_per_sec >= 0.0,
-            "diurnal rates must be positive / non-negative"
-        );
-        assert!(!period.is_zero(), "diurnal period must be positive");
-        DiurnalSource {
+        DiurnalSource::try_new(
+            lookup,
+            base_rate_per_sec,
+            swing_rate_per_sec,
+            period,
+            jobs,
+            family,
+            seed,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DiurnalSource::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-positive or non-finite base rate, a negative or non-finite swing
+    /// rate, or a zero period instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        base_rate_per_sec: f64,
+        swing_rate_per_sec: f64,
+        period: SimDuration,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<DiurnalSource<'a>, BaseError> {
+        let base_rate_per_sec = positive_rate("diurnal base rate", base_rate_per_sec)?;
+        if !(swing_rate_per_sec >= 0.0 && swing_rate_per_sec.is_finite()) {
+            return Err(BaseError::InvalidConfig {
+                reason: format!(
+                    "diurnal swing rate must be non-negative and finite, got {swing_rate_per_sec}"
+                ),
+            });
+        }
+        let period = positive_duration("diurnal period", period)?;
+        Ok(DiurnalSource {
             lookup,
             family,
             rng: SplitMix64::new(seed),
@@ -274,7 +367,8 @@ impl<'a> DiurnalSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+            templates: TemplateCache::default(),
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
@@ -307,7 +401,9 @@ impl Source for DiurnalSource<'_> {
                 break;
             }
         }
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
+        let job = self
+            .family
+            .draw(&mut self.rng, self.lookup, &mut self.templates);
         let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
         Some((SimTime::from_ns(self.t_ns), job))
     }
@@ -339,9 +435,9 @@ impl TraceSource {
     /// A source over an explicit list, validated eagerly: returns
     /// [`BaseError::DisorderedArrival`](apt_base::BaseError::DisorderedArrival)
     /// naming the first offending pair if the arrivals ever decrease.
-    pub fn try_new(jobs: Vec<(SimTime, JobTemplate)>) -> Result<TraceSource, apt_base::BaseError> {
+    pub fn try_new(jobs: Vec<(SimTime, JobTemplate)>) -> Result<TraceSource, BaseError> {
         if let Some(w) = jobs.windows(2).find(|w| w[1].0 < w[0].0) {
-            return Err(apt_base::BaseError::DisorderedArrival {
+            return Err(BaseError::DisorderedArrival {
                 at_ns: w[1].0.as_ns(),
                 prev_ns: w[0].0.as_ns(),
             });
@@ -542,6 +638,90 @@ mod tests {
         assert!(
             crest > trough * 2,
             "diurnal swing invisible: {crest} crest vs {trough} trough"
+        );
+    }
+
+    #[test]
+    fn bad_rates_and_durations_are_typed_errors() {
+        let lookup = LookupTable::paper();
+        let ms = SimDuration::from_ms;
+        let invalid = |r: Result<(), BaseError>| {
+            assert!(
+                matches!(r, Err(BaseError::InvalidConfig { .. })),
+                "expected InvalidConfig, got {r:?}"
+            );
+        };
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            invalid(PoissonSource::try_new(lookup, rate, 5, JobFamily::Single, 1).map(drop));
+            invalid(
+                OnOffSource::try_new(lookup, rate, ms(10), ms(10), 5, JobFamily::Single, 1)
+                    .map(drop),
+            );
+            invalid(
+                DiurnalSource::try_new(lookup, rate, 1.0, ms(10), 5, JobFamily::Single, 1)
+                    .map(drop),
+            );
+        }
+        // The diurnal swing may be zero, but not negative or non-finite.
+        for swing in [-1.0, f64::NAN, f64::INFINITY] {
+            invalid(
+                DiurnalSource::try_new(lookup, 1.0, swing, ms(10), 5, JobFamily::Single, 1)
+                    .map(drop),
+            );
+        }
+        let zero = SimDuration::ZERO;
+        invalid(OnOffSource::try_new(lookup, 1.0, zero, ms(10), 5, JobFamily::Single, 1).map(drop));
+        invalid(OnOffSource::try_new(lookup, 1.0, ms(10), zero, 5, JobFamily::Single, 1).map(drop));
+        invalid(DiurnalSource::try_new(lookup, 1.0, 1.0, zero, 5, JobFamily::Single, 1).map(drop));
+        // Valid parameters construct, and `new` yields the same stream.
+        let ok = PoissonSource::try_new(lookup, 2.0, 5, JobFamily::Single, 1).unwrap();
+        assert_eq!(
+            drain(&mut ok.clone()),
+            drain(&mut PoissonSource::new(
+                lookup,
+                2.0,
+                5,
+                JobFamily::Single,
+                1
+            ))
+        );
+        assert!(OnOffSource::try_new(lookup, 1.0, ms(10), ms(10), 5, JobFamily::Single, 1).is_ok());
+        assert!(DiurnalSource::try_new(lookup, 1.0, 0.0, ms(10), 5, JobFamily::Single, 1).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite")]
+    fn new_panics_with_the_typed_reason() {
+        PoissonSource::new(LookupTable::paper(), f64::NAN, 1, JobFamily::Single, 1);
+    }
+
+    #[test]
+    fn interned_single_jobs_match_fresh_instantiation() {
+        // A source's interned single-kernel templates are the very jobs
+        // `JobFamily::instantiate` draws from the same RNG state, and
+        // repeated kernels share one template.
+        let lookup = LookupTable::paper();
+        let jobs = drain(&mut PoissonSource::new(
+            lookup,
+            3.0,
+            300,
+            JobFamily::Single,
+            4,
+        ));
+        let mut rng = SplitMix64::new(4);
+        for (_, job) in &jobs {
+            exp_gap_ns(&mut rng, 1e9 / 3.0);
+            assert_eq!(*job, JobFamily::Single.instantiate(&mut rng, lookup));
+        }
+        let shared = jobs.iter().any(|(_, a)| {
+            jobs.iter()
+                .filter(|(_, b)| std::ptr::eq(a.kernels(), b.kernels()))
+                .count()
+                > 1
+        });
+        assert!(
+            shared,
+            "300 draws over a few dozen keys never shared a template"
         );
     }
 
