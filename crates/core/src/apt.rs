@@ -28,9 +28,22 @@
 //! the one-per-call form (pinned by the Figure-5 test below and the
 //! engine-equivalence suite) at a fraction of the ready-list rescans.
 
-use apt_base::{ProcId, SimDuration};
+use apt_base::{BaseError, ProcId, SimDuration};
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
+
+/// `alpha` if it is a valid Eq. 8 flexibility factor (finite, ≥ 1), else
+/// [`BaseError::InvalidConfig`] naming `policy`. Shared by every APT-family
+/// constructor.
+pub(crate) fn checked_alpha(policy: &str, alpha: f64) -> Result<f64, BaseError> {
+    if alpha.is_finite() && alpha >= 1.0 {
+        Ok(alpha)
+    } else {
+        Err(BaseError::InvalidConfig {
+            reason: format!("{policy} requires a finite α ≥ 1 (Eq. 8), got {alpha}"),
+        })
+    }
+}
 
 /// The Alternative-Processor-within-Threshold policy.
 #[derive(Debug, Clone, Copy)]
@@ -44,11 +57,16 @@ impl Apt {
     /// Panics if `α < 1`: the threshold `α·x` would be below the best
     /// execution time itself, which Eq. 8 explicitly rules out.
     pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "APT requires a finite α ≥ 1 (Eq. 8), got {alpha}"
-        );
-        Apt { alpha }
+        // apt-lint: allow(hot-path-panic, construction-time config check; try_new is the typed path)
+        Apt::try_new(alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Apt::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-finite α or one below 1 instead of panicking.
+    pub fn try_new(alpha: f64) -> Result<Self, BaseError> {
+        Ok(Apt {
+            alpha: checked_alpha("APT", alpha)?,
+        })
     }
 
     /// The configured flexibility factor.
@@ -57,7 +75,7 @@ impl Apt {
     }
 
     /// Set the flexibility factor at runtime, clamped to the valid range
-    /// (finite, ≥ 1 — the same invariant [`Apt::new`] enforces by panic).
+    /// (finite, ≥ 1 — the same invariant [`Apt::try_new`] checks).
     /// Non-finite requests are ignored. This is the knob the `apt-control`
     /// α controller turns between metrics windows.
     pub fn set_alpha(&mut self, alpha: f64) {
@@ -203,6 +221,29 @@ mod tests {
     #[should_panic(expected = "α ≥ 1")]
     fn alpha_below_one_is_rejected() {
         let _ = Apt::new(0.5);
+    }
+
+    #[test]
+    fn every_apt_constructor_types_a_bad_alpha() {
+        type TryNew = fn(f64) -> Result<(), BaseError>;
+        let constructors: [(&str, TryNew); 4] = [
+            ("APT", |a| Apt::try_new(a).map(drop)),
+            ("APT-R", |a| crate::AptR::try_new(a).map(drop)),
+            ("EDF-APT", |a| crate::EdfApt::try_new(a).map(drop)),
+            ("LL-APT", |a| crate::LlApt::try_new(a).map(drop)),
+        ];
+        for (name, try_new) in constructors {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0, 0.999] {
+                let err = try_new(bad).unwrap_err();
+                assert!(
+                    matches!(&err, BaseError::InvalidConfig { reason } if reason.contains(name)),
+                    "{name}({bad}): {err}"
+                );
+            }
+            for good in [1.0, 4.0] {
+                assert!(try_new(good).is_ok(), "{name}({good})");
+            }
+        }
     }
 
     /// The APT half of Figure 5 (α = 8, transfers disabled): the second bfs

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! where `remaining(p_min)` is how long the optimal processor stays busy.
-//! The ablation bench `apt_r` quantifies the improvement this buys.
+//! The `ablation-aptr` artifact quantifies the improvement this buys.
 //!
 //! Like MET and APT, APT-R emits its whole per-instant fixpoint in one
 //! `decide` pass. APT-R additionally reads `busy_until`, which *does*
@@ -26,7 +26,8 @@
 //! arithmetic. Byte-identical to the one-assignment-per-call form (pinned
 //! by the engine-equivalence suite).
 
-use apt_base::{ProcId, SimDuration, SimTime};
+use crate::apt::checked_alpha;
+use apt_base::{BaseError, ProcId, SimDuration, SimTime};
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
 
@@ -38,12 +39,18 @@ pub struct AptR {
 
 impl AptR {
     /// Create an APT-R scheduler with flexibility factor `α ≥ 1`.
+    /// Panics otherwise, like [`crate::Apt::new`].
     pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "APT-R requires a finite α ≥ 1, got {alpha}"
-        );
-        AptR { alpha }
+        // apt-lint: allow(hot-path-panic, construction-time config check; try_new is the typed path)
+        AptR::try_new(alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`AptR::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-finite α or one below 1 instead of panicking.
+    pub fn try_new(alpha: f64) -> Result<Self, BaseError> {
+        Ok(AptR {
+            alpha: checked_alpha("APT-R", alpha)?,
+        })
     }
 
     /// The configured flexibility factor.

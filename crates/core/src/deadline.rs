@@ -34,8 +34,8 @@
 //! byte-identically to APT, which is what lets the streaming equivalence
 //! suite replay them against `simulate_stream`.
 
-use crate::apt::find_alternative_in;
-use apt_base::SimDuration;
+use crate::apt::{checked_alpha, find_alternative_in};
+use apt_base::{BaseError, SimDuration};
 use apt_dfg::NodeId;
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
@@ -107,14 +107,17 @@ impl EdfApt {
     /// An EDF-ordered APT scheduler with flexibility factor `α ≥ 1`
     /// (Eq. 8). Panics if `α < 1`, like [`crate::Apt`].
     pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "EDF-APT requires a finite α ≥ 1 (Eq. 8), got {alpha}"
-        );
-        EdfApt {
-            alpha,
+        // apt-lint: allow(hot-path-panic, construction-time config check; try_new is the typed path)
+        EdfApt::try_new(alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EdfApt::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-finite α or one below 1 instead of panicking.
+    pub fn try_new(alpha: f64) -> Result<Self, BaseError> {
+        Ok(EdfApt {
+            alpha: checked_alpha("EDF-APT", alpha)?,
             order: Vec::new(),
-        }
+        })
     }
 
     /// The configured flexibility factor.
@@ -183,14 +186,17 @@ impl LlApt {
     /// A least-laxity APT scheduler with flexibility factor `α ≥ 1`.
     /// Panics if `α < 1`.
     pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "LL-APT requires a finite α ≥ 1, got {alpha}"
-        );
-        LlApt {
-            alpha,
+        // apt-lint: allow(hot-path-panic, construction-time config check; try_new is the typed path)
+        LlApt::try_new(alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`LlApt::new`], returning [`BaseError::InvalidConfig`] for a
+    /// non-finite α or one below 1 instead of panicking.
+    pub fn try_new(alpha: f64) -> Result<Self, BaseError> {
+        Ok(LlApt {
+            alpha: checked_alpha("LL-APT", alpha)?,
             order: Vec::new(),
-        }
+        })
     }
 
     /// The configured flexibility factor.

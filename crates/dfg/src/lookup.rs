@@ -50,8 +50,7 @@ pub struct LookupTable {
     /// Per-kind `(data_size, row index)` lists, sorted by size. A kind has at
     /// most seven measured sizes, so a binary search over a dense array beats
     /// the `BTreeMap<(kind, size), _>` this replaced by a wide margin on the
-    /// simulator's row-resolution path (see `engine/lookup_exec_time` in
-    /// `BENCH_engine.json`).
+    /// simulator's row-resolution path.
     index: [Vec<(u64, usize)>; KernelKind::ALL.len()],
 }
 

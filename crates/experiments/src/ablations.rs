@@ -2,8 +2,8 @@
 //!
 //! These go beyond the paper's evaluation: each ablation varies one knob of
 //! the reproduction and reports how the APT-vs-MET comparison responds.
-//! The Criterion benches in `apt-bench` time the same configurations; the
-//! artifacts here print the *scientific* outputs (makespans, gains).
+//! The artifacts print the *scientific* outputs (makespans, gains), not
+//! host timings.
 
 use crate::workloads::experiment_graphs;
 use apt_core::prelude::*;

@@ -6,7 +6,7 @@
 //!
 //! * the `apt-repro` binary (`cargo run -p apt-experiments --release --
 //!   <id>|all|list`) prints artifacts to stdout,
-//! * the Criterion benches in `apt-bench` time the underlying sweeps,
+//! * `perfbench`'s `closed_grid` workload times the underlying sweep grid,
 //! * the integration tests assert the DESIGN.md acceptance criteria.
 
 #![warn(missing_docs)]

@@ -3,9 +3,9 @@
 //! Every table and figure is an aggregation over the same underlying runs
 //! (policy × experiment graph × α × link rate). The runner flattens those
 //! runs into one task list and executes it on a scoped worker pool sized to
-//! the machine (crossbeam scoped threads draining an atomic cursor), then
-//! memoizes the per-run summaries (parking_lot mutex around the cache) so
-//! `apt-repro all` never simulates the same configuration twice.
+//! the machine (`std::thread::scope` workers draining an atomic cursor),
+//! then memoizes the per-run summaries (a `std::sync::Mutex` around the
+//! cache) so `apt-repro all` never simulates the same configuration twice.
 //!
 //! Two levels of parallelism are exposed:
 //!
@@ -27,10 +27,9 @@ use crate::workloads::{experiment_graphs, NUM_EXPERIMENTS};
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::RunSummary;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Link-rate presets used by the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,6 +87,13 @@ impl Key {
     }
 }
 
+/// Lock a cache, recovering the data if a panicking holder poisoned it:
+/// critical sections only read or insert whole entries, so a poisoned map
+/// is still consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn cache() -> &'static Mutex<HashMap<Key, Arc<Matrix>>> {
     static CACHE: OnceLock<Mutex<HashMap<Key, Arc<Matrix>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -115,7 +121,7 @@ fn publish_baseline(
     key: (DfgType, Rate),
     block: Arc<BaselineBlock>,
 ) -> Arc<BaselineBlock> {
-    Arc::clone(cache.lock().entry(key).or_insert(block))
+    Arc::clone(lock(cache).entry(key).or_insert(block))
 }
 
 /// Worker count for sweep pools: one thread per core.
@@ -133,9 +139,9 @@ fn workers(tasks: usize) -> usize {
 pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let slots: Vec<OnceLock<T>> = (0..tasks).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers(tasks) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= tasks {
                     break;
@@ -145,8 +151,7 @@ pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + 
                 });
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("pool drained every task"))
@@ -157,11 +162,11 @@ pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + 
 /// one α and one link rate.
 pub fn policy_matrix(ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
     let key = Key::new(ty, alpha, rate);
-    if let Some(hit) = cache().lock().get(&key) {
+    if let Some(hit) = lock(cache()).get(&key) {
         return Arc::clone(hit);
     }
     prewarm(&[(ty, alpha, rate)]);
-    Arc::clone(cache().lock().get(&key).expect("prewarm fills the cache"))
+    Arc::clone(lock(cache()).get(&key).expect("prewarm fills the cache"))
 }
 
 /// Compute every not-yet-cached `(type, α, rate)` combination in one
@@ -209,7 +214,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
     // after they are released.
     let mut missing: Vec<(DfgType, f64, Rate)> = Vec::new();
     {
-        let cached = cache().lock();
+        let cached = lock(cache());
         for &(ty, alpha, rate) in specs {
             let key = Key::new(ty, alpha, rate);
             if cached.contains_key(&key)
@@ -239,7 +244,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
     // Snapshot the already-simulated baseline blocks under a short lock;
     // graph generation and block construction happen after it is released.
     let baseline_snapshot: HashMap<(DfgType, Rate), Arc<BaselineBlock>> = {
-        let baseline_cached = baseline_cache().lock();
+        let baseline_cached = lock(baseline_cache());
         missing
             .iter()
             .filter_map(|&(ty, _, rate)| {
@@ -341,7 +346,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
     }
 
     // Assemble the full seven-column matrices (APT first, Tables-8/9 order).
-    let mut cached = cache().lock();
+    let mut cached = lock(cache());
     for (combo, apt_column) in combos.into_iter().zip(apt_results) {
         let baseline = blocks[combo.block].cached.as_ref().expect("filled above");
         let matrix: Matrix = apt_column
@@ -544,7 +549,7 @@ mod tests {
         });
         assert!(!Arc::ptr_eq(&a.0, &b.0), "each wave built its own block");
         assert!(Arc::ptr_eq(&a.1, &b.1), "the waves kept different blocks");
-        let cached = Arc::clone(cache.lock().get(&key).unwrap());
+        let cached = Arc::clone(lock(&cache).get(&key).unwrap());
         assert!(Arc::ptr_eq(&a.1, &cached));
     }
 

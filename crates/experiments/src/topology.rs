@@ -234,9 +234,16 @@ mod tests {
             v.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
             vec!["uniform", "clustered", "bottleneck", "bottleneck+pl"],
         );
+        let factories = stream_policy_factories(PAPER_BEST_ALPHA);
+        let (_, apt) = &factories[0];
         for (name, config) in &v {
             assert_eq!(config.len(), 6, "{name}");
             config.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            // APT schedules every job on every interconnect at the
+            // lightest swept load.
+            let o = topology_point(apt.as_ref(), TOPO_RATES[0], config, None);
+            assert!(!o.saturated, "{name}");
+            assert_eq!(o.jobs_completed, TOPO_JOBS, "{name}");
         }
         assert_eq!(v[0].1.uniform_rate(), Some(LinkRate::PCIE2_X8));
         assert_eq!(v[1].1.uniform_rate(), None);

@@ -21,9 +21,9 @@ pub struct LintConfig {
     /// driver, and policy decide paths. `unwrap`/`expect`/`panic!`-family
     /// calls here need a reasoned `apt-lint: allow` escape.
     pub hot_path: Vec<String>,
-    /// Modules allowed to read `Instant::now` / `SystemTime`: profiler,
-    /// bench timing, and progress-heartbeat code whose wall-clock reads
-    /// never feed simulation state.
+    /// Modules allowed to read `Instant::now` / `SystemTime`: profiler and
+    /// progress-heartbeat code whose wall-clock reads never feed simulation
+    /// state.
     pub wall_clock_allowlist: Vec<String>,
 }
 
@@ -53,8 +53,6 @@ impl LintConfig {
             .map(|s| s.to_string())
             .collect(),
             wall_clock_allowlist: [
-                // Bench timing loops.
-                "crates/bench/src/",
                 // Engine phase profiler (feature-gated, accounting only).
                 "crates/telemetry/src/profile.rs",
                 // The --progress stderr heartbeat.
@@ -115,7 +113,7 @@ mod tests {
         assert!(cfg.is_hot_path("crates/hetsim/src/engine.rs"));
         assert!(!cfg.is_hot_path("crates/hetsim/src/cost.rs"));
         assert!(cfg.wall_clock_allowed("crates/telemetry/src/progress.rs"));
-        assert!(cfg.wall_clock_allowed("crates/bench/src/main.rs"));
+        assert!(cfg.wall_clock_allowed("crates/telemetry/src/profile.rs"));
         assert!(!cfg.wall_clock_allowed("crates/stream/src/driver.rs"));
         assert_eq!(LintConfig::crate_name("crates/core/src/apt.rs"), "core");
         assert_eq!(LintConfig::crate_name("src/lib.rs"), "apt-suite");

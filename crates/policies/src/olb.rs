@@ -4,7 +4,7 @@
 //! to the next available processor "without considering the execution time
 //! of each task on the given hardware platform". SPN was proposed as the
 //! improvement over it. OLB is included here as an extra baseline for the
-//! ablation benches; it does not appear in the paper's result tables.
+//! fault sweep; it does not appear in the paper's result tables.
 
 use apt_hetsim::{Assignment, AssignmentBuf, Policy, PolicyKind, SimView};
 

@@ -320,7 +320,9 @@ pub fn simulate_source_gated(
     gate: &mut dyn AdmissionGate,
     observe: impl FnMut(&CompletedJob),
 ) -> Result<StreamOutcome, BaseError> {
-    simulate_source_inner(source, config, lookup, policy, opts, gate, None, observe)
+    simulate_source_inner(
+        source, config, lookup, policy, opts, gate, None, &mut None, None, observe,
+    )
 }
 
 /// [`simulate_source_gated`] with an `apt-control` [`Controller`] closing
@@ -348,13 +350,6 @@ pub fn simulate_source_controlled(
     controller: &mut dyn Controller,
     observe: impl FnMut(&CompletedJob),
 ) -> Result<StreamOutcome, BaseError> {
-    if opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
     simulate_source_inner(
         source,
         config,
@@ -363,6 +358,8 @@ pub fn simulate_source_controlled(
         opts,
         gate,
         Some(controller),
+        &mut None,
+        None,
         observe,
     )
 }
@@ -390,15 +387,8 @@ pub fn simulate_source_traced(
     sink: Box<dyn TraceSink>,
     observe: impl FnMut(&CompletedJob),
 ) -> Result<(StreamOutcome, Box<dyn TraceSink>), BaseError> {
-    if controller.is_some() && opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
     let mut sink = Some(sink);
-    let outcome = simulate_source_inner_traced(
+    let outcome = simulate_source_inner(
         source, config, lookup, policy, opts, gate, controller, &mut sink, None, observe,
     )?;
     Ok((
@@ -437,15 +427,8 @@ pub fn simulate_source_telemetered(
     tel: &mut StreamTelemetry,
     observe: impl FnMut(&CompletedJob),
 ) -> Result<(StreamOutcome, Option<Box<dyn TraceSink>>), BaseError> {
-    if controller.is_some() && opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
     let mut sink = sink;
-    let outcome = simulate_source_inner_traced(
+    let outcome = simulate_source_inner(
         source,
         config,
         lookup,
@@ -460,34 +443,10 @@ pub fn simulate_source_telemetered(
     Ok((outcome, sink))
 }
 
+/// The one driver body every public entry point forwards to; it also
+/// checks once that a controlled run has metrics windows.
 #[allow(clippy::too_many_arguments)]
 fn simulate_source_inner(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    controller: Option<&mut dyn Controller>,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    let mut no_sink = None;
-    simulate_source_inner_traced(
-        source,
-        config,
-        lookup,
-        policy,
-        opts,
-        gate,
-        controller,
-        &mut no_sink,
-        None,
-        observe,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_source_inner_traced(
     source: &mut dyn Source,
     config: &SystemConfig,
     lookup: &LookupTable,
@@ -499,6 +458,13 @@ fn simulate_source_inner_traced(
     mut tel: Option<&mut StreamTelemetry>,
     mut observe: impl FnMut(&CompletedJob),
 ) -> Result<StreamOutcome, BaseError> {
+    if controller.is_some() && opts.snapshot_interval.is_none() {
+        return Err(BaseError::InvalidSystem {
+            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
+                     are the controller's clock"
+                .into(),
+        });
+    }
     let mut engine = OpenEngine::with_order(config, lookup, opts.ready_order)?;
     engine.prepare(policy)?;
     let faults_armed = !opts.faults.is_none();
@@ -1507,20 +1473,63 @@ mod tests {
     #[test]
     fn controlled_run_requires_a_snapshot_interval() {
         use apt_control::InertController;
-        let (config, lookup) = paper();
-        let mut source = PoissonSource::new(lookup, 1.0, 3, JobFamily::Single, 1);
-        let err = simulate_source_controlled(
-            &mut source,
-            config,
-            lookup,
-            &mut apt_policies::Met::new(),
-            &DriverOpts::default(),
-            &mut AdmitAll,
-            &mut InertController,
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, BaseError::InvalidSystem { .. }));
+        // Every entry point that takes a controller rejects a run without
+        // metrics windows.
+        type Entry = fn(&mut PoissonSource, &mut dyn Controller) -> Result<(), BaseError>;
+        let controlled: Entry = |source, controller| {
+            let (config, lookup) = paper();
+            simulate_source_controlled(
+                source,
+                config,
+                lookup,
+                &mut apt_policies::Met::new(),
+                &DriverOpts::default(),
+                &mut AdmitAll,
+                controller,
+                |_| {},
+            )
+            .map(drop)
+        };
+        let traced: Entry = |source, controller| {
+            let (config, lookup) = paper();
+            simulate_source_traced(
+                source,
+                config,
+                lookup,
+                &mut apt_policies::Met::new(),
+                &DriverOpts::default(),
+                &mut AdmitAll,
+                Some(controller),
+                Box::new(apt_trace::NullSink),
+                |_| {},
+            )
+            .map(drop)
+        };
+        let telemetered: Entry = |source, controller| {
+            let (config, lookup) = paper();
+            simulate_source_telemetered(
+                source,
+                config,
+                lookup,
+                &mut apt_policies::Met::new(),
+                &DriverOpts::default(),
+                &mut AdmitAll,
+                Some(controller),
+                None,
+                &mut StreamTelemetry::new(),
+                |_| {},
+            )
+            .map(drop)
+        };
+        for (name, entry) in [
+            ("controlled", controlled),
+            ("traced", traced),
+            ("telemetered", telemetered),
+        ] {
+            let mut source = PoissonSource::new(paper().1, 1.0, 3, JobFamily::Single, 1);
+            let err = entry(&mut source, &mut InertController).unwrap_err();
+            assert!(matches!(err, BaseError::InvalidSystem { .. }), "{name}");
+        }
     }
 
     #[test]

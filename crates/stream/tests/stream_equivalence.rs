@@ -487,15 +487,22 @@ fn faulty_streams_replay_deterministically_under_seed() {
 }
 
 /// Armed-but-inert *controller* differential: running the controlled
-/// driver with the no-op [`InertController`] arms the whole control path
-/// — window delivery, action application, the control log — yet must
-/// stream byte-identically to a controller-off run across the dynamic
-/// roster. This pins that the control plane is schedule-invisible until a
-/// controller actually acts.
+/// driver with the no-op [`InertController`], or with an AIMD loop parked
+/// at setpoints it can never cross, arms the whole control path — window
+/// delivery, controller evaluation, action application, the control log —
+/// yet must stream byte-identically to a controller-off run across the
+/// dynamic roster. This pins that the control plane is schedule-invisible
+/// until a controller actually acts.
 #[test]
 fn inert_controller_streams_byte_identically_to_controller_off() {
-    use apt_control::InertController;
+    use apt_control::{AimdAdmission, AimdConfig, Controller, InertController};
     use apt_stream::{simulate_source_controlled, AdmitAll};
+    let parked = AimdConfig {
+        miss_setpoint: 1.0,
+        miss_low_water: 1.0,
+        shed_setpoint: 1.0,
+        ..AimdConfig::default()
+    };
     let config = SystemConfig::paper_4gbps();
     let lookup = LookupTable::paper();
     let jobs = job_list(
@@ -521,31 +528,40 @@ fn inert_controller_streams_byte_identically_to_controller_off() {
         )
         .unwrap_or_else(|e| panic!("{name}: controller-off run failed: {e}"));
 
-        let mut recs_inert: Vec<TaskRecord> = Vec::new();
-        let mut source = TraceSource::new(jobs.clone());
-        let mut policy = make();
-        let inert = simulate_source_controlled(
-            &mut source,
-            &config,
-            lookup,
-            policy.as_mut(),
-            &opts,
-            &mut AdmitAll,
-            &mut InertController,
-            |done| recs_inert.extend(done.records.iter().copied()),
-        )
-        .unwrap_or_else(|e| panic!("{name}: inert-controller run failed: {e}"));
+        let controllers: [(&str, Box<dyn Controller>); 2] = [
+            ("inert", Box::new(InertController)),
+            ("parked AIMD", Box::new(AimdAdmission::new(4.0, parked))),
+        ];
+        for (ctl, mut controller) in controllers {
+            let mut recs_inert: Vec<TaskRecord> = Vec::new();
+            let mut source = TraceSource::new(jobs.clone());
+            let mut policy = make();
+            let inert = simulate_source_controlled(
+                &mut source,
+                &config,
+                lookup,
+                policy.as_mut(),
+                &opts,
+                &mut AdmitAll,
+                controller.as_mut(),
+                |done| recs_inert.extend(done.records.iter().copied()),
+            )
+            .unwrap_or_else(|e| panic!("{name}/{ctl}: controlled run failed: {e}"));
 
-        assert_eq!(
-            recs_off, recs_inert,
-            "{name}: inert controller moved a kernel"
-        );
-        assert_eq!(off.end, inert.end, "{name}");
-        assert_eq!(off.proc_stats, inert.proc_stats, "{name}");
-        assert_eq!(off.snapshots, inert.snapshots, "{name}");
-        assert_eq!(off.jobs_completed, inert.jobs_completed, "{name}");
-        assert_eq!(off.lambda_total, inert.lambda_total, "{name}");
-        assert!(inert.control_log.is_empty(), "{name}: phantom actions");
+            assert_eq!(
+                recs_off, recs_inert,
+                "{name}/{ctl}: controller moved a kernel"
+            );
+            assert_eq!(off.end, inert.end, "{name}/{ctl}");
+            assert_eq!(off.proc_stats, inert.proc_stats, "{name}/{ctl}");
+            assert_eq!(off.snapshots, inert.snapshots, "{name}/{ctl}");
+            assert_eq!(off.jobs_completed, inert.jobs_completed, "{name}/{ctl}");
+            assert_eq!(off.lambda_total, inert.lambda_total, "{name}/{ctl}");
+            assert!(
+                inert.control_log.is_empty(),
+                "{name}/{ctl}: phantom actions"
+            );
+        }
         assert!(off.control_log.is_empty(), "{name}");
     }
 }

@@ -10,8 +10,7 @@
 //! The bucket store is a **dense** count vector spanning the observed
 //! index range (`offset` names the bucket of `counts[0]`): the observe
 //! hot path is one `ln`, one `ceil`, and one indexed add — no tree walk
-//! or hashing — which is what keeps an armed registry within a few
-//! percent of a bare run on the `telemetry/poisson_apt` benches. The
+//! or hashing — so an armed registry adds a handful of adds per job. The
 //! span only grows toward actually-observed magnitudes; at γ = 0.01
 //! even nine decades of dynamic range cost ~2 000 u64 slots (16 kB),
 //! and typical per-run latency streams stay well under that.

@@ -7,8 +7,8 @@
 //! `Option<Box<dyn TraceSink>>` and every emission site is a single
 //! `is_some` branch, so untraced runs execute the exact same instruction
 //! stream as before this crate existed (the equivalence suites pin this
-//! byte-for-byte), and an armed [`NullSink`] stays within a few percent of
-//! bare on the Poisson-stream hot path (`trace/poisson_apt` benches).
+//! byte-for-byte). `perfbench`'s `stream_armed` workload prices an armed
+//! [`NullSink`] per event (`tracesink.ns_per_event`).
 //!
 //! Three sinks cover the use cases:
 //!

@@ -25,9 +25,9 @@
 //!
 //! Tracing is **off by default and free when off**: an untraced run
 //! executes byte-identically to a run built before the trace layer
-//! existed (pinned by the equivalence suites), and an armed
-//! [`trace::NullSink`] prices the hot path within a few percent of bare
-//! (`trace/poisson_apt` benches).
+//! existed (pinned by the equivalence suites). `perfbench`'s `stream_armed`
+//! workload prices an armed [`trace::NullSink`] per event
+//! (`tracesink.ns_per_event`).
 //!
 //! Render a recorded stream with [`trace::chrome::chrome_trace`]
 //! (Chrome trace-event JSON — open it in `chrome://tracing` or
@@ -89,8 +89,8 @@
 //! * **Determinism** — same seed, same trace, byte for byte. Simulation
 //!   crates never iterate a `HashMap`/`HashSet` (ordered containers or
 //!   sorted key lists only; keyed lookup is fine) and never read the wall
-//!   clock (`Instant::now`/`SystemTime` live only in the bench, profiler
-//!   and progress modules). Time is the event clock; randomness is
+//!   clock (`Instant::now`/`SystemTime` live only in the profiler and
+//!   progress modules). Time is the event clock; randomness is
 //!   [`SplitMix64`].
 //! * **RNG-stream discipline** — every RNG stream derives from a config
 //!   seed or a named `*_STREAM_SALT` constant (e.g.
