@@ -105,6 +105,35 @@ mod tests {
     }
 
     #[test]
+    fn met_and_apt_schedule_every_kernel_of_paper_sized_graphs() {
+        use crate::prelude::*;
+        let lookup = LookupTable::paper();
+        let system = SystemConfig::paper_4gbps();
+        // Experiment 8's size as Type-1 and the largest experiment as Type-2.
+        for (ty, n, seed) in [
+            (DfgType::Type1, 93, 0xBE9C_0001),
+            (DfgType::Type2, 157, 0xBE9C_0002),
+        ] {
+            let dfg = generate(ty, &StreamConfig::new(n, seed), lookup);
+            let policies: [(&str, Box<dyn Policy>); 2] = [
+                ("MET", Box::new(Met::new())),
+                ("APT", Box::new(Apt::new(4.0))),
+            ];
+            for (name, mut policy) in policies {
+                let res = simulate(&dfg, &system, lookup, policy.as_mut())
+                    .unwrap_or_else(|e| panic!("{ty:?}/{name}: {e}"));
+                let mut nodes: Vec<u32> = res.trace.records.iter().map(|r| r.node.0).collect();
+                nodes.sort_unstable();
+                assert_eq!(nodes, (0..n as u32).collect::<Vec<_>>(), "{ty:?}/{name}");
+                assert!(res.makespan() > SimDuration::ZERO, "{ty:?}/{name}");
+                if name == "MET" {
+                    assert!(!res.trace.records.iter().any(|r| r.alt), "MET took a p_alt");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn paper_constants() {
         assert_eq!(PAPER_ALPHAS.len(), 5);
         assert!(PAPER_ALPHAS.contains(&PAPER_BEST_ALPHA));

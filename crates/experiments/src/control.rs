@@ -499,6 +499,61 @@ mod tests {
         assert!(control_stack().name().starts_with("stack[aimd"));
     }
 
+    /// An AIMD loop parked at setpoints of 1.0 on a gated, deadline-tagged
+    /// Poisson stream evaluates every window but never acts, so the run is
+    /// the plain gated driver's, byte for byte.
+    #[test]
+    fn parked_aimd_on_a_gated_stream_matches_the_gated_driver() {
+        use apt_stream::{simulate_source_controlled, simulate_source_gated};
+        let lookup = LookupTable::paper();
+        let config = SystemConfig::paper_4gbps();
+        let source = || {
+            PoissonSource::new(lookup, 0.5, 2_000, JobFamily::Single, 0xBE9C_5EED)
+                .with_deadlines(DeadlineSpec::ProportionalCp { factor: 8.0 })
+        };
+        let opts = DriverOpts {
+            snapshot_interval: Some(SimDuration::from_ms(60_000)),
+            ..DriverOpts::default()
+        };
+        let bare = simulate_source_gated(
+            &mut source(),
+            &config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut UtilizationBound::new(lookup, &config, 4.0),
+            |_| {},
+        )
+        .unwrap();
+        let mut stack = ControllerStack::new(vec![Box::new(AimdAdmission::new(
+            4.0,
+            AimdConfig {
+                miss_setpoint: 1.0,
+                miss_low_water: 1.0,
+                shed_setpoint: 1.0,
+                ..AimdConfig::default()
+            },
+        ))]);
+        let armed = simulate_source_controlled(
+            &mut source(),
+            &config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut UtilizationBound::new(lookup, &config, 4.0),
+            &mut stack,
+            |_| {},
+        )
+        .unwrap();
+        assert!(armed.control_log.is_empty(), "the parked loop acted");
+        assert_eq!(armed.jobs_admitted + armed.jobs_shed, 2_000);
+        assert_eq!(armed.jobs_admitted, bare.jobs_admitted);
+        assert_eq!(armed.jobs_shed, bare.jobs_shed);
+        assert_eq!(armed.end, bare.end);
+        assert_eq!(armed.proc_stats, bare.proc_stats);
+        assert_eq!(armed.snapshots, bare.snapshots);
+    }
+
     /// Replaying a cell — fixed or adaptive — is byte-identical: the
     /// control loop is a pure function of the observed windows.
     #[test]

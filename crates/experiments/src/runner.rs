@@ -554,6 +554,59 @@ mod tests {
     }
 
     #[test]
+    fn run_pool_returns_results_in_task_order() {
+        let out = run_pool(37, |i| i * i);
+        assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_pool_runs_every_task_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        run_pool(runs.len(), |i| runs[i].fetch_add(1, Ordering::SeqCst));
+        for (i, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "task {i}");
+        }
+    }
+
+    #[test]
+    fn run_pool_with_no_tasks_returns_nothing() {
+        let out: Vec<usize> = run_pool(0, |i| unreachable!("task {i} of none"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn run_pool_reraises_a_worker_panic() {
+        let res = std::panic::catch_unwind(|| {
+            run_pool(8, |i| {
+                assert_ne!(i, 5, "task 5 fails");
+                i
+            })
+        });
+        assert!(res.is_err(), "a failed task must not yield a result list");
+    }
+
+    #[test]
+    fn worker_count_is_clamped_to_the_task_count() {
+        assert_eq!(workers(0), 1);
+        assert_eq!(workers(1), 1);
+        assert!((1..=3).contains(&workers(3)));
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_cache() {
+        let m = Mutex::new(vec![1]);
+        let poisoned = std::panic::catch_unwind(|| {
+            let mut g = lock(&m);
+            g.push(2);
+            panic!("holder dies mid-section");
+        });
+        assert!(poisoned.is_err());
+        assert!(m.is_poisoned());
+        lock(&m).push(3);
+        assert_eq!(*lock(&m), vec![1, 2, 3]);
+    }
+
+    #[test]
     fn run_matrix_rows_follow_policy_order() {
         let m = run_matrix(
             DfgType::Type1,

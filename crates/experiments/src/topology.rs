@@ -251,6 +251,24 @@ mod tests {
     }
 
     #[test]
+    fn closed_graphs_schedule_on_every_topology_variant() {
+        // The closed engine on the sweep machines: a Type-1 graph of
+        // experiment 8's size runs to completion under APT on every
+        // interconnect, each kernel once, on one of the six processors.
+        let lookup = LookupTable::paper();
+        let dfg = generate(DfgType::Type1, &StreamConfig::new(93, 0xBE9C_0001), lookup);
+        for (name, config) in topology_variants() {
+            let res = simulate(&dfg, &config, lookup, &mut Apt::new(PAPER_BEST_ALPHA))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(res.trace.records.len(), dfg.len(), "{name}");
+            assert_eq!(res.trace.proc_stats.len(), 6, "{name}");
+            let kernels: usize = res.trace.proc_stats.iter().map(|p| p.kernels).sum();
+            assert_eq!(kernels, dfg.len(), "{name}");
+            assert!(res.makespan() > SimDuration::ZERO, "{name}");
+        }
+    }
+
+    #[test]
     fn slow_topologies_differ_measurably_from_uniform() {
         // One transfer-heavy cell per topology: same arrivals, same
         // policy — the bottleneck star must lose throughput or latency

@@ -118,4 +118,23 @@ mod tests {
         assert_eq!(LintConfig::crate_name("crates/core/src/apt.rs"), "core");
         assert_eq!(LintConfig::crate_name("src/lib.rs"), "apt-suite");
     }
+
+    #[test]
+    fn every_configured_path_exists() {
+        // A scoped path that no longer exists silently scopes nothing (or,
+        // for the allowlist, waives a rule for whatever later lands there).
+        let root = crate::find_root(None);
+        let cfg = LintConfig::workspace_default();
+        for c in &cfg.simulation_crates {
+            assert!(root.join("crates").join(c).is_dir(), "crates/{c}");
+        }
+        for p in cfg.hot_path.iter().chain(&cfg.wall_clock_allowlist) {
+            let path = root.join(p);
+            if p.ends_with('/') {
+                assert!(path.is_dir(), "{p}");
+            } else {
+                assert!(path.is_file(), "{p}");
+            }
+        }
+    }
 }

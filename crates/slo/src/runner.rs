@@ -121,6 +121,48 @@ mod tests {
         assert!(gated.peak_in_flight_jobs < ungated.peak_in_flight_jobs);
     }
 
+    /// Below saturation both admission paths drain a deadline-tagged
+    /// stream: every offered job is admitted or shed, every admitted job
+    /// completes, and the utilization gate's reservations return to zero.
+    #[test]
+    fn both_gates_drain_a_sustainable_deadline_stream() {
+        let (config, lookup) = paper();
+        let source = || {
+            PoissonSource::new(lookup, 0.5, 2_000, JobFamily::Single, 0xBE9C_5EED)
+                .with_deadlines(DeadlineSpec::ProportionalCp { factor: 4.0 })
+        };
+        let opts = DriverOpts::default();
+
+        let mut open = AcceptAll;
+        let ungated = simulate_source_slo(
+            &mut source(),
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &mut open,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(ungated.jobs_admitted, 2_000);
+        assert_eq!(ungated.jobs_shed, 0);
+        assert_eq!(ungated.jobs_completed, 2_000);
+
+        let mut gate = UtilizationBound::new(lookup, config, 1.0);
+        let gated = simulate_source_slo(
+            &mut source(),
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &mut gate,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(gated.jobs_admitted + gated.jobs_shed, 2_000);
+        assert_eq!(gated.jobs_completed, gated.jobs_admitted);
+        assert!(gated.jobs_admitted > 0);
+        assert_eq!(gate.load(), 0.0);
+    }
+
     #[test]
     fn feasibility_gate_shed_rate_tracks_tightness() {
         let (config, lookup) = paper();

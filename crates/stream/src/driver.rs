@@ -1044,6 +1044,48 @@ mod tests {
     }
 
     #[test]
+    fn armed_faults_account_for_every_job() {
+        // Transient failures plus crash/repair under the default retry
+        // policy: each job completes or fails, none is shed, and the
+        // fault books agree with the outcome. The same stream with the
+        // machinery off fails nothing.
+        let (config, lookup) = paper();
+        let run = |faults: FaultPlan| {
+            let mut source = PoissonSource::new(lookup, 0.5, 2_000, JobFamily::Single, 0xBE9C_5EED);
+            simulate_source(
+                &mut source,
+                config,
+                lookup,
+                &mut apt_core::Apt::new(4.0),
+                &DriverOpts {
+                    faults,
+                    retry: RetryPolicy::default(),
+                    ..DriverOpts::default()
+                },
+            )
+            .unwrap()
+        };
+        let armed = run(FaultPlan::seeded(0xBE9C_FA17)
+            .with_transient(0.02)
+            .with_crashes(SimDuration::from_ms(60_000), SimDuration::from_ms(2_000)));
+        assert_eq!(armed.jobs_completed + armed.jobs_failed, 2_000);
+        assert_eq!(armed.jobs_shed, 0);
+        assert_eq!(armed.faults.jobs_failed, armed.jobs_failed);
+        assert!(
+            armed.faults.kernel_failures > 0,
+            "no transient failure drawn"
+        );
+        assert!(armed.faults.retries > 0, "no failure was retried");
+        assert!(armed.faults.crashes > 0, "MTTF 60 s never crashed");
+        assert!(armed.faults.repairs <= armed.faults.crashes);
+
+        let clean = run(FaultPlan::none());
+        assert_eq!(clean.jobs_completed, 2_000);
+        assert_eq!(clean.jobs_failed, 0);
+        assert_eq!(clean.faults, FaultTotals::default());
+    }
+
+    #[test]
     fn observer_sees_every_job_in_completion_order() {
         let (config, lookup) = paper();
         let mut source = PoissonSource::new(lookup, 5.0, 60, JobFamily::Chain { len: 2 }, 5);
