@@ -2,6 +2,7 @@
 //! the utilization bound ρ, with hysteresis and cooldown.
 
 use crate::{ControlAction, Controller};
+use apt_base::BaseError;
 use apt_metrics::StreamSnapshot;
 
 /// Gains and guards of [`AimdAdmission`]. The defaults target a 5% miss
@@ -79,44 +80,59 @@ impl AimdAdmission {
     ///
     /// # Panics
     ///
-    /// On non-finite or non-positive gains, `decrease` outside (0, 1),
-    /// an inverted hysteresis band (`miss_low_water > miss_setpoint`), or
-    /// `initial_bound` outside `[min_bound, max_bound]` — these are
+    /// Wherever [`AimdAdmission::try_new`] returns an error — these are
     /// construction bugs, not runtime conditions.
     pub fn new(initial_bound: f64, cfg: AimdConfig) -> Self {
-        assert!(
-            cfg.miss_setpoint.is_finite() && cfg.miss_setpoint >= 0.0,
-            "miss_setpoint must be finite and non-negative"
-        );
-        assert!(
-            (0.0..=cfg.miss_setpoint).contains(&cfg.miss_low_water),
-            "miss_low_water must sit in [0, miss_setpoint] (the hysteresis band)"
-        );
-        assert!(
-            cfg.shed_setpoint.is_finite() && cfg.shed_setpoint >= 0.0,
-            "shed_setpoint must be finite and non-negative"
-        );
-        assert!(
-            cfg.decrease > 0.0 && cfg.decrease < 1.0,
-            "decrease must lie in (0, 1)"
-        );
-        assert!(
-            cfg.increase.is_finite() && cfg.increase > 0.0,
-            "increase must be finite and positive"
-        );
-        assert!(
-            cfg.min_bound > 0.0 && cfg.min_bound <= cfg.max_bound && cfg.max_bound.is_finite(),
-            "bounds must satisfy 0 < min ≤ max < ∞"
-        );
-        assert!(
-            (cfg.min_bound..=cfg.max_bound).contains(&initial_bound),
-            "initial_bound must lie in [min_bound, max_bound]"
-        );
-        AimdAdmission {
+        AimdAdmission::try_new(initial_bound, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`AimdAdmission::new`], returning [`BaseError::InvalidConfig`] on
+    /// non-finite or negative setpoints, non-positive gains, `decrease`
+    /// outside (0, 1), an inverted hysteresis band
+    /// (`miss_low_water > miss_setpoint`), bounds outside
+    /// `0 < min ≤ max < ∞`, or `initial_bound` outside
+    /// `[min_bound, max_bound]`.
+    pub fn try_new(initial_bound: f64, cfg: AimdConfig) -> Result<Self, BaseError> {
+        let checks = [
+            (
+                cfg.miss_setpoint.is_finite() && cfg.miss_setpoint >= 0.0,
+                "miss_setpoint must be finite and non-negative",
+            ),
+            (
+                (0.0..=cfg.miss_setpoint).contains(&cfg.miss_low_water),
+                "miss_low_water must sit in [0, miss_setpoint] (the hysteresis band)",
+            ),
+            (
+                cfg.shed_setpoint.is_finite() && cfg.shed_setpoint >= 0.0,
+                "shed_setpoint must be finite and non-negative",
+            ),
+            (
+                cfg.decrease > 0.0 && cfg.decrease < 1.0,
+                "decrease must lie in (0, 1)",
+            ),
+            (
+                cfg.increase.is_finite() && cfg.increase > 0.0,
+                "increase must be finite and positive",
+            ),
+            (
+                cfg.min_bound > 0.0 && cfg.min_bound <= cfg.max_bound && cfg.max_bound.is_finite(),
+                "bounds must satisfy 0 < min ≤ max < ∞",
+            ),
+            (
+                (cfg.min_bound..=cfg.max_bound).contains(&initial_bound),
+                "initial_bound must lie in [min_bound, max_bound]",
+            ),
+        ];
+        if let Some(&(_, reason)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(BaseError::InvalidConfig {
+                reason: format!("AIMD admission: {reason}"),
+            });
+        }
+        Ok(AimdAdmission {
             cfg,
             bound: initial_bound,
             cooldown_left: 0,
-        }
+        })
     }
 
     /// The controller's current belief of ρ.
@@ -241,6 +257,45 @@ mod tests {
             drive(&mut ctrl, &shedding);
         }
         assert_eq!(ctrl.bound(), 0.6);
+    }
+
+    /// Every rejected configuration is a typed error; a valid one builds.
+    #[test]
+    fn every_bad_config_is_a_typed_error() {
+        let d = AimdConfig::default();
+        let with = |edit: fn(&mut AimdConfig)| {
+            let mut cfg = d;
+            edit(&mut cfg);
+            cfg
+        };
+        // One case per guard, each alone in an otherwise valid config:
+        // setpoints, band, gains, bounds, then the starting ρ.
+        let rejected = [
+            (1.0, with(|c| c.miss_setpoint = f64::NAN)),
+            (1.0, with(|c| c.miss_setpoint = -0.1)),
+            (1.0, with(|c| c.miss_low_water = 0.1)),
+            (1.0, with(|c| c.miss_low_water = -0.01)),
+            (1.0, with(|c| c.shed_setpoint = f64::INFINITY)),
+            (1.0, with(|c| c.shed_setpoint = -0.5)),
+            (1.0, with(|c| c.decrease = 0.0)),
+            (1.0, with(|c| c.decrease = 1.0)),
+            (1.0, with(|c| c.increase = 0.0)),
+            (1.0, with(|c| c.increase = f64::INFINITY)),
+            (1.0, with(|c| c.min_bound = 0.0)),
+            (1.0, with(|c| c.min_bound = 9.0)),
+            (1.0, with(|c| c.max_bound = f64::INFINITY)),
+            (0.01, d),
+            (9.0, d),
+            (f64::NAN, d),
+        ];
+        for (initial, cfg) in rejected {
+            let err = AimdAdmission::try_new(initial, cfg).unwrap_err();
+            assert!(
+                matches!(&err, BaseError::InvalidConfig { reason } if reason.contains("AIMD")),
+                "ρ0 = {initial}, {cfg:?}: {err}"
+            );
+        }
+        assert_eq!(AimdAdmission::try_new(1.0, d).unwrap().bound(), 1.0);
     }
 
     #[test]

@@ -31,14 +31,12 @@
 //! control actions were applied. `--csv` exports one row per cell.
 
 use crate::runner::run_pool;
+use crate::streaming::Traffic;
 use apt_control::{AimdAdmission, AimdConfig, AlphaController, ControlAction, ControllerStack};
 use apt_core::prelude::*;
 use apt_metrics::TextTable;
 use apt_slo::UtilizationBound;
-use apt_stream::{
-    DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source,
-    StreamOutcome,
-};
+use apt_stream::{DeadlineSpec, DriverOpts, StreamOutcome};
 
 /// Jobs per sweep cell.
 pub const CONTROL_JOBS: u64 = 400;
@@ -66,98 +64,55 @@ pub const CONTROL_BOUNDS: [f64; 3] = [0.5, 1.0, 2.0];
 pub struct ControlScenario {
     /// Row label.
     pub name: &'static str,
-    /// Fresh arrival source for one cell run.
-    make: Box<dyn Fn() -> Box<dyn Source> + Send + Sync>,
+    /// Arrival shape of every cell of this scenario.
+    traffic: Traffic,
     /// Fault plan of every cell of this scenario ([`FaultPlan::none`]
     /// except the faulty row).
     faults: FaultPlan,
 }
 
-fn deadline_spec() -> DeadlineSpec {
-    DeadlineSpec::ProportionalCp {
-        factor: CONTROL_TIGHTNESS,
-    }
-}
-
 /// The scenario axis, in render order. Index 0 is the tuned trace, index
 /// 1 the phase-shifted one the acceptance tests pivot on.
 pub fn control_scenarios() -> Vec<ControlScenario> {
+    let day = SimDuration::from_ms(600_000);
     vec![
+        // The tuned regime: 0.05…0.25 j/s over a 10-minute day.
         ControlScenario {
             name: "diurnal",
-            make: Box::new(|| {
-                // The tuned regime: 0.05…0.25 j/s over a 10-minute day.
-                Box::new(
-                    DiurnalSource::new(
-                        LookupTable::paper(),
-                        0.05,
-                        0.2,
-                        SimDuration::from_ms(600_000),
-                        CONTROL_JOBS,
-                        JobFamily::Diamond { width: 2 },
-                        CONTROL_SEED,
-                    )
-                    .with_deadlines(deadline_spec()),
-                ) as Box<dyn Source>
-            }),
+            traffic: Traffic::Diurnal {
+                base: 0.05,
+                swing: 0.2,
+                period: day,
+            },
             faults: FaultPlan::none(),
         },
+        // The drifted regime: 0.2…0.8 j/s — troughs near the old peak,
+        // peaks past 2× service capacity.
         ControlScenario {
             name: "diurnal-shift",
-            make: Box::new(|| {
-                // The drifted regime: 0.2…0.8 j/s — troughs near the old
-                // peak, peaks past 2× service capacity.
-                Box::new(
-                    DiurnalSource::new(
-                        LookupTable::paper(),
-                        0.2,
-                        0.6,
-                        SimDuration::from_ms(600_000),
-                        CONTROL_JOBS,
-                        JobFamily::Diamond { width: 2 },
-                        CONTROL_SEED,
-                    )
-                    .with_deadlines(deadline_spec()),
-                ) as Box<dyn Source>
-            }),
+            traffic: Traffic::Diurnal {
+                base: 0.2,
+                swing: 0.6,
+                period: day,
+            },
             faults: FaultPlan::none(),
         },
+        // Two-state MMPP: 1 j/s bursts (≈3× capacity) for ~40 s, then
+        // ~80 s quiet — ≈0.33 j/s average.
         ControlScenario {
             name: "bursty",
-            make: Box::new(|| {
-                // Two-state MMPP: 1 j/s bursts (≈3× capacity) for ~40 s,
-                // then ~80 s quiet — ≈0.33 j/s average.
-                Box::new(
-                    OnOffSource::new(
-                        LookupTable::paper(),
-                        1.0,
-                        SimDuration::from_ms(40_000),
-                        SimDuration::from_ms(80_000),
-                        CONTROL_JOBS,
-                        JobFamily::Diamond { width: 2 },
-                        CONTROL_SEED,
-                    )
-                    .with_deadlines(deadline_spec()),
-                ) as Box<dyn Source>
-            }),
+            traffic: Traffic::OnOff {
+                rate: 1.0,
+                on: SimDuration::from_ms(40_000),
+                off: SimDuration::from_ms(80_000),
+            },
             faults: FaultPlan::none(),
         },
+        // Crash episodes shrink the machine: MTTF 45 s, MTTR 10 s per
+        // processor, plus a 5% transient kernel failure rate.
         ControlScenario {
             name: "faulty",
-            make: Box::new(|| {
-                Box::new(
-                    PoissonSource::new(
-                        LookupTable::paper(),
-                        0.2,
-                        CONTROL_JOBS,
-                        JobFamily::Diamond { width: 2 },
-                        CONTROL_SEED,
-                    )
-                    .with_deadlines(deadline_spec()),
-                ) as Box<dyn Source>
-            }),
-            // Crash episodes shrink the machine: MTTF 45 s, MTTR 10 s
-            // per processor, plus a 5% transient kernel failure rate.
+            traffic: Traffic::Poisson { rate: 0.2 },
             faults: FaultPlan::seeded(CONTROL_SEED)
                 .with_crashes(SimDuration::from_ms(45_000), SimDuration::from_ms(10_000))
                 .with_transient(0.05),
@@ -260,7 +215,13 @@ pub fn control_point(scenario: &ControlScenario, cell: ControlCell) -> ControlRu
     let (alpha0, bound0) = cell.start();
     let mut policy = EdfApt::new(alpha0);
     let mut gate = UtilizationBound::new(lookup, &config, bound0);
-    let mut source = (scenario.make)();
+    let mut source = scenario.traffic.source(
+        CONTROL_JOBS,
+        CONTROL_SEED,
+        DeadlineSpec::ProportionalCp {
+            factor: CONTROL_TIGHTNESS,
+        },
+    );
     let opts = DriverOpts {
         snapshot_interval: Some(CONTROL_WINDOW),
         faults: scenario.faults,
@@ -317,17 +278,6 @@ fn grid() -> Vec<GridCell> {
         }
     }
     cells
-}
-
-/// Run the whole grid once.
-fn run_grid() -> (Vec<GridCell>, Vec<ControlRun>) {
-    let coords = grid();
-    let runs = run_pool(coords.len(), |i| {
-        let (s, c) = coords[i];
-        let scenarios = control_scenarios();
-        control_point(&scenarios[s], control_cells()[c])
-    });
-    (coords, runs)
 }
 
 fn applied_actions(run: &ControlRun) -> usize {
@@ -456,22 +406,15 @@ fn render_control_csv_full(coords: &[GridCell], runs: &[ControlRun]) -> String {
 }
 
 /// The scenario × (fixed-grid ∪ adaptive) control sweep (module docs).
-pub fn control_sweep() -> TextTable {
-    let (coords, runs) = run_grid();
-    render_control_table(&coords, &runs)
-}
-
-/// Per-cell summary CSV plus the control-log block over the same grid
-/// (see [`render_control_csv_full`]'s two headers).
-pub fn control_sweep_csv() -> String {
-    let (coords, runs) = run_grid();
-    render_control_csv_full(&coords, &runs)
-}
-
-/// One grid run rendered both ways, so `apt-repro control-sweep --csv
-/// <path>` simulates the grid once.
-pub fn control_sweep_with_csv() -> (TextTable, String) {
-    let (coords, runs) = run_grid();
+/// One grid run yields the table and the CSV: the per-cell summary
+/// ([`CONTROL_CSV_HEADER`]), a blank line, then the control-action log
+/// ([`CONTROL_LOG_CSV_HEADER`]).
+pub fn control_sweep() -> (TextTable, String) {
+    let coords = grid();
+    let runs = run_pool(coords.len(), |i| {
+        let (s, c) = coords[i];
+        control_point(&control_scenarios()[s], control_cells()[c])
+    });
     (
         render_control_table(&coords, &runs),
         render_control_csv_full(&coords, &runs),
@@ -504,7 +447,9 @@ mod tests {
     /// the plain gated driver's, byte for byte.
     #[test]
     fn parked_aimd_on_a_gated_stream_matches_the_gated_driver() {
-        use apt_stream::{simulate_source_controlled, simulate_source_gated};
+        use apt_stream::{
+            simulate_source_controlled, simulate_source_gated, JobFamily, PoissonSource,
+        };
         let lookup = LookupTable::paper();
         let config = SystemConfig::paper_4gbps();
         let source = || {

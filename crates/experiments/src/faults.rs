@@ -25,10 +25,11 @@
 //! counters — ready for pivoting on the MTTF × λ axes.
 
 use crate::runner::run_pool;
+use crate::streaming::Traffic;
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::TextTable;
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
+use apt_stream::{DeadlineSpec, DriverOpts, StreamOutcome};
 
 /// Jobs per sweep cell.
 pub const FAULT_JOBS: u64 = 300;
@@ -115,39 +116,39 @@ pub fn fault_retry() -> RetryPolicy {
     }
 }
 
+/// Driver options of every cell at one MTTF setting: shedding at the
+/// in-flight cap, the setting's fault plan, and the sweep's retry
+/// discipline. No metrics windows: the sweep reports per-cell summaries.
+fn fault_opts(mttf: Option<SimDuration>) -> DriverOpts {
+    DriverOpts {
+        max_in_flight_jobs: Some(FAULT_CAP),
+        shed_when_full: true,
+        faults: fault_plan(mttf),
+        retry: fault_retry(),
+        ..DriverOpts::default()
+    }
+}
+
 /// One sweep cell: policy × offered λ × MTTF on the paper machine.
 pub fn fault_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     mttf: Option<SimDuration>,
-    snapshots: bool,
 ) -> StreamOutcome {
-    let lookup = LookupTable::paper();
-    let config = SystemConfig::paper_4gbps();
     let mut policy = make();
-    let mut source = PoissonSource::new(
-        lookup,
-        rate,
+    let mut source = Traffic::Poisson { rate }.source(
         FAULT_JOBS,
-        JobFamily::Diamond { width: 2 },
         FAULT_SEED,
-    )
-    .with_deadlines(DeadlineSpec::ProportionalCp {
-        factor: FAULT_TIGHTNESS,
-    });
-    apt_stream::simulate_source(
-        &mut source,
-        &config,
-        lookup,
-        policy.as_mut(),
-        &DriverOpts {
-            snapshot_interval: snapshots.then(|| SimDuration::from_ms(120_000)),
-            max_in_flight_jobs: Some(FAULT_CAP),
-            shed_when_full: true,
-            faults: fault_plan(mttf),
-            retry: fault_retry(),
-            ..DriverOpts::default()
+        DeadlineSpec::ProportionalCp {
+            factor: FAULT_TIGHTNESS,
         },
+    );
+    apt_stream::simulate_source(
+        source.as_mut(),
+        &SystemConfig::paper_4gbps(),
+        LookupTable::paper(),
+        policy.as_mut(),
+        &fault_opts(mttf),
     )
     .expect("fault sweep point failed")
 }
@@ -178,20 +179,16 @@ fn mttf_label(mttf: Option<SimDuration>) -> String {
     }
 }
 
-/// Run the whole grid once (optionally snapshot-enabled).
-fn run_grid(snapshots: bool) -> (Vec<FaultCell>, Vec<StreamOutcome>) {
+/// The MTTF × λ × policy fault sweep (see the module docs). One grid run
+/// yields the table and its per-cell summary CSV (see
+/// [`FAULT_CSV_HEADER`]).
+pub fn fault_sweep() -> (TextTable, String) {
     let cells = grid();
+    let factories = fault_policy_factories(PAPER_BEST_ALPHA);
     let outcomes = run_pool(cells.len(), |i| {
         let (m, r, p) = cells[i];
-        let factories = fault_policy_factories(PAPER_BEST_ALPHA);
-        let (_, make) = &factories[p];
-        fault_point(make.as_ref(), FAULT_RATES[r], FAULT_MTTFS[m], snapshots)
+        fault_point(factories[p].1.as_ref(), FAULT_RATES[r], FAULT_MTTFS[m])
     });
-    (cells, outcomes)
-}
-
-fn render_fault_table(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> TextTable {
-    let factories = fault_policy_factories(PAPER_BEST_ALPHA);
     let mut table = TextTable::new(
         format!(
             "Fault sweep — {FAULT_JOBS} Poisson diamond jobs/cell, α = {PAPER_BEST_ALPHA}, \
@@ -228,7 +225,7 @@ fn render_fault_table(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> TextTa
             format!("{}", o.faults.crashes),
         ]);
     }
-    table
+    (table, render_fault_csv(&cells, &outcomes))
 }
 
 /// Header of the per-cell summary CSV.
@@ -266,31 +263,11 @@ fn render_fault_csv(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> String {
     csv
 }
 
-/// The MTTF × λ × policy fault sweep (see the module docs).
-pub fn fault_sweep() -> TextTable {
-    let (cells, outcomes) = run_grid(false);
-    render_fault_table(&cells, &outcomes)
-}
-
-/// Per-cell summary CSV over the same grid (see [`FAULT_CSV_HEADER`]).
-pub fn fault_sweep_csv() -> String {
-    let (cells, outcomes) = run_grid(false);
-    render_fault_csv(&cells, &outcomes)
-}
-
-/// One grid run rendered both ways, so `apt-repro fault-sweep --csv
-/// <path>` simulates the grid once.
-pub fn fault_sweep_with_csv() -> (TextTable, String) {
-    let (cells, outcomes) = run_grid(false);
-    (
-        render_fault_table(&cells, &outcomes),
-        render_fault_csv(&cells, &outcomes),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::SWEEP_WINDOW;
+    use apt_stream::{JobFamily, PoissonSource};
 
     #[test]
     fn roster_covers_the_advertised_contrast() {
@@ -311,46 +288,52 @@ mod tests {
     }
 
     /// The faults-disabled baseline row is the plain driver, byte for
-    /// byte: same end, stats, and windows as a run with no fault options
-    /// at all, with every fault counter at zero.
+    /// byte: same end and stats as a run with no fault options at all,
+    /// with every fault counter at zero; windowed, the two runs close the
+    /// same windows.
     #[test]
     fn disabled_faults_match_the_plain_driver() {
         let factories = fault_policy_factories(PAPER_BEST_ALPHA);
         let (_, apt) = &factories[0];
-        let baseline = fault_point(apt.as_ref(), 0.15, None, true);
-        let lookup = LookupTable::paper();
-        let mut policy = apt();
-        let mut source = PoissonSource::new(
-            lookup,
-            0.15,
-            FAULT_JOBS,
-            JobFamily::Diamond { width: 2 },
-            FAULT_SEED,
-        )
-        .with_deadlines(DeadlineSpec::ProportionalCp {
-            factor: FAULT_TIGHTNESS,
+        let run = |opts: DriverOpts| {
+            let lookup = LookupTable::paper();
+            let mut policy = apt();
+            let mut source = PoissonSource::new(
+                lookup,
+                0.15,
+                FAULT_JOBS,
+                JobFamily::Diamond { width: 2 },
+                FAULT_SEED,
+            )
+            .with_deadlines(DeadlineSpec::ProportionalCp {
+                factor: FAULT_TIGHTNESS,
+            });
+            let config = SystemConfig::paper_4gbps();
+            apt_stream::simulate_source(&mut source, &config, lookup, policy.as_mut(), &opts)
+                .unwrap()
+        };
+        let window = Some(SWEEP_WINDOW);
+        let windowed = run(DriverOpts {
+            snapshot_interval: window,
+            ..fault_opts(None)
         });
-        let plain = apt_stream::simulate_source(
-            &mut source,
-            &SystemConfig::paper_4gbps(),
-            lookup,
-            policy.as_mut(),
-            &DriverOpts {
-                snapshot_interval: Some(SimDuration::from_ms(120_000)),
-                max_in_flight_jobs: Some(FAULT_CAP),
-                shed_when_full: true,
-                ..DriverOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(baseline.end, plain.end);
-        assert_eq!(baseline.proc_stats, plain.proc_stats);
-        assert_eq!(baseline.snapshots, plain.snapshots);
-        assert_eq!(baseline.jobs_failed, 0);
-        assert_eq!(baseline.faults, FaultTotals::default());
-        assert_eq!(baseline.goodput_jps, baseline.throughput_jps);
-        assert_eq!(baseline.availability(), 1.0);
-        assert_eq!(baseline.wasted_work_frac(), 0.0);
+        let plain = run(DriverOpts {
+            snapshot_interval: window,
+            max_in_flight_jobs: Some(FAULT_CAP),
+            shed_when_full: true,
+            ..DriverOpts::default()
+        });
+        // The sweep's own (windowless) cell.
+        let row = fault_point(apt.as_ref(), 0.15, None);
+        assert_eq!(row.end, plain.end);
+        assert_eq!(row.proc_stats, plain.proc_stats);
+        assert_eq!(windowed.end, plain.end);
+        assert_eq!(windowed.snapshots, plain.snapshots);
+        assert_eq!(row.jobs_failed, 0);
+        assert_eq!(row.faults, FaultTotals::default());
+        assert_eq!(row.goodput_jps, row.throughput_jps);
+        assert_eq!(row.availability(), 1.0);
+        assert_eq!(row.wasted_work_frac(), 0.0);
     }
 
     /// The crashy cells actually degrade — and no policy deadlocks: every
@@ -361,7 +344,7 @@ mod tests {
         let factories = fault_policy_factories(PAPER_BEST_ALPHA);
         let mttf = Some(SimDuration::from_ms(30_000));
         for (name, make) in &factories {
-            let o = fault_point(make.as_ref(), 0.15, mttf, false);
+            let o = fault_point(make.as_ref(), 0.15, mttf);
             assert_eq!(
                 o.jobs_completed + o.jobs_failed + o.jobs_shed,
                 FAULT_JOBS,
@@ -375,12 +358,12 @@ mod tests {
         // identically, and the fault-free twin strictly beats it on
         // goodput (same arrivals, same policy).
         let (_, apt) = &factories[0];
-        let crashy = fault_point(apt.as_ref(), 0.15, mttf, false);
-        let again = fault_point(apt.as_ref(), 0.15, mttf, false);
+        let crashy = fault_point(apt.as_ref(), 0.15, mttf);
+        let again = fault_point(apt.as_ref(), 0.15, mttf);
         assert_eq!(crashy.end, again.end);
         assert_eq!(crashy.proc_stats, again.proc_stats);
         assert_eq!(crashy.faults, again.faults);
-        let clean = fault_point(apt.as_ref(), 0.15, None, false);
+        let clean = fault_point(apt.as_ref(), 0.15, None);
         assert!(
             crashy.goodput_jps < clean.goodput_jps,
             "crashes must cost goodput: {} vs {}",
@@ -399,8 +382,8 @@ mod tests {
         let (_, apt) = &factories[0];
         let cells = vec![(0, 0, 0), (2, 0, 0)];
         let outcomes = vec![
-            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[0], false),
-            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[2], false),
+            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[0]),
+            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[2]),
         ];
         let csv = render_fault_csv(&cells, &outcomes);
         let lines: Vec<&str> = csv.lines().collect();

@@ -6,7 +6,9 @@
 //!
 //! * the `apt-repro` binary (`cargo run -p apt-experiments --release --
 //!   <id>|all|list`) prints artifacts to stdout,
-//! * `perfbench`'s `closed_grid` workload times the underlying sweep grid,
+//! * `perfbench`'s `closed_grid` workload times the same closed-world
+//!   grid — re-created in `perfbench` itself, which does not depend on
+//!   this crate,
 //! * the integration tests assert the DESIGN.md acceptance criteria.
 
 #![warn(missing_docs)]
@@ -25,10 +27,13 @@ pub mod topology;
 pub mod traced;
 pub mod workloads;
 
-pub use telemetered::{artifact_has_metrics, artifact_metrics, MetricsExport};
-pub use traced::{artifact_has_trace, artifact_trace, TraceExport};
+pub use telemetered::{artifact_metrics, MetricsExport};
+pub use traced::{artifact_trace, TraceExport};
 
+use apt_core::prelude::SimDuration;
 use apt_metrics::TextTable;
+use streaming::Traffic;
+use traced::TraceCell;
 
 /// A regenerated artifact: either a formatted table or free-form text.
 #[derive(Debug, Clone)]
@@ -48,152 +53,185 @@ impl std::fmt::Display for Artifact {
     }
 }
 
-/// Every artifact id, in paper order.
-pub const ARTIFACT_IDS: [&str; 19] = [
-    "table7", "table8", "table9", "table10", "table11", "table12", "table13", "table14", "table15",
-    "table16", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig8b", "fig9", "fig10",
+/// How a registry entry renders.
+#[derive(Debug, Clone, Copy)]
+enum Render {
+    /// Free-form text.
+    Text(fn() -> String),
+    /// A table.
+    Table(fn() -> TextTable),
+    /// An open-stream sweep: one grid run yields the table and its CSV
+    /// (`apt-repro <id> --csv <path>`).
+    Sweep(fn() -> (TextTable, String)),
+}
+
+/// One entry of the artifact registry.
+#[derive(Debug, Clone, Copy)]
+pub struct ArtifactSpec {
+    /// The id `apt-repro` takes.
+    pub id: &'static str,
+    /// How the artifact renders.
+    render: Render,
+    /// The representative cell `--trace` and `--metrics` run, for the
+    /// open-stream artifacts.
+    trace_cell: Option<TraceCell>,
+}
+
+impl ArtifactSpec {
+    /// True when the artifact has a CSV form — a static check, so callers
+    /// can filter capabilities without running anything.
+    pub fn has_csv(&self) -> bool {
+        matches!(self.render, Render::Sweep(_))
+    }
+
+    /// The representative cell [`artifact_trace`] and [`artifact_metrics`]
+    /// run, when the artifact has a traced and telemetered form.
+    pub fn trace_cell(&self) -> Option<&TraceCell> {
+        self.trace_cell.as_ref()
+    }
+
+    /// Regenerate the artifact, with its CSV when it has one.
+    pub fn run(&self) -> (Artifact, Option<String>) {
+        match self.render {
+            Render::Text(text) => (Artifact::Text(text()), None),
+            Render::Table(table) => (Artifact::Table(table()), None),
+            Render::Sweep(sweep) => {
+                let (table, csv) = sweep();
+                (Artifact::Table(table), Some(csv))
+            }
+        }
+    }
+}
+
+const fn table(id: &'static str, render: fn() -> TextTable) -> ArtifactSpec {
+    ArtifactSpec {
+        id,
+        render: Render::Table(render),
+        trace_cell: None,
+    }
+}
+
+const fn text(id: &'static str, render: fn() -> String) -> ArtifactSpec {
+    ArtifactSpec {
+        id,
+        render: Render::Text(render),
+        trace_cell: None,
+    }
+}
+
+const fn sweep(
+    id: &'static str,
+    run: fn() -> (TextTable, String),
+    cell: TraceCell,
+) -> ArtifactSpec {
+    ArtifactSpec {
+        id,
+        render: Render::Sweep(run),
+        trace_cell: Some(cell),
+    }
+}
+
+/// Every artifact, in `apt-repro all` order: the paper's tables and
+/// figures, the supplementary Table 1 and §3.2 metric-5 wins summary,
+/// the ablations (see `ablations`), then the open-stream scenarios (see
+/// `streaming`, `slo`, `topology`, `faults` and `control`).
+pub static ARTIFACTS: [ArtifactSpec; 36] = [
+    table("table7", tables::table7),
+    table("table8", tables::table8),
+    table("table9", tables::table9),
+    table("table10", tables::table10),
+    table("table11", tables::table11),
+    table("table12", tables::table12),
+    table("table13", tables::table13),
+    table("table14", tables::table14),
+    table("table15", tables::table15),
+    table("table16", tables::table16),
+    text("fig3", figures::fig3),
+    text("fig4", figures::fig4),
+    text("fig5", figures::fig5),
+    table("fig6", figures::fig6),
+    table("fig7", figures::fig7),
+    table("fig8", figures::fig8),
+    table("fig8b", figures::fig8b),
+    table("fig9", figures::fig9),
+    table("fig10", figures::fig10),
+    table("fig11", figures::fig11),
+    table("fig12", figures::fig12),
+    text("table1", tables::table1),
+    table("wins", tables::wins),
+    table("ablation-alpha-fine", ablations::ablation_alpha_fine),
+    table("ablation-heterogeneity", ablations::ablation_heterogeneity),
+    table("ablation-bytes", ablations::ablation_bytes_per_element),
+    table("ablation-procs", ablations::ablation_processor_count),
+    table("ablation-aptr", ablations::ablation_apt_r),
+    table("ablation-energy", ablations::ablation_energy),
+    table("ablation-quality", ablations::ablation_quality),
+    // Traced at λ ≈ 1.3× the ~0.3 j/s service capacity, where shedding
+    // and alt-placements dominate.
+    sweep(
+        "stream-saturation",
+        streaming::stream_saturation,
+        TraceCell::new(Traffic::Poisson { rate: 0.4 }),
+    ),
+    // Traced with 3×-capacity bursts and long quiet valleys.
+    ArtifactSpec {
+        trace_cell: Some(TraceCell::new(Traffic::OnOff {
+            rate: 1.0,
+            on: SimDuration::from_ms(40_000),
+            off: SimDuration::from_ms(80_000),
+        })),
+        ..table("stream-bursts", streaming::stream_burst_comparison)
+    },
+    // The deadline frontier and topology rows are traced on a sustainable
+    // 0.25 j/s feed: the timeline shows λ-delay structure, not overload.
+    sweep(
+        "slo-sweep",
+        slo::slo_sweep,
+        TraceCell::new(Traffic::Poisson { rate: 0.25 }),
+    ),
+    sweep(
+        "topology-sweep",
+        topology::topology_sweep,
+        TraceCell::new(Traffic::Poisson { rate: 0.25 }),
+    ),
+    // Crash/repair episodes shrink the machine on top of a heavier
+    // transient rate: crash and repair instants land on the processor
+    // tracks.
+    sweep(
+        "fault-sweep",
+        faults::fault_sweep,
+        TraceCell {
+            traffic: Traffic::Poisson { rate: 0.2 },
+            transient: 0.05,
+            crashes: Some((SimDuration::from_ms(45_000), SimDuration::from_ms(10_000))),
+        },
+    ),
+    // The control plane's shifted diurnal regime: the trace where the α/ρ
+    // counter tracks actually move.
+    sweep(
+        "control-sweep",
+        control::control_sweep,
+        TraceCell::new(Traffic::Diurnal {
+            base: 0.2,
+            swing: 0.6,
+            period: SimDuration::from_ms(600_000),
+        }),
+    ),
 ];
 
-/// The remaining figure ids (λ sweeps) — kept separate purely so the array
-/// above stays in the paper's listing order; `all_artifact_ids` merges them.
-pub const LAMBDA_FIGURE_IDS: [&str; 2] = ["fig11", "fig12"];
+/// The registry entry of `id`. `None` for unknown ids.
+pub fn artifact(id: &str) -> Option<&'static ArtifactSpec> {
+    ARTIFACTS.iter().find(|spec| spec.id == id)
+}
 
-/// Supplementary artifacts: Table 1 (background) and the §3.2 metric-5
-/// "occurrences of better solutions" summary.
-pub const SUPPLEMENTARY_IDS: [&str; 2] = ["table1", "wins"];
-
-/// Open-stream artifacts (beyond the paper's closed-world evaluation; see
-/// `streaming`, `slo`, `topology` and `faults`): the λ-saturation sweep,
-/// the burst-absorption comparison, the deadline/admission frontier, the
-/// multi-link topology saturation comparison, the failure-injection
-/// MTTF × λ sweep, and the adaptive-control-plane sweep.
-pub const STREAM_IDS: [&str; 6] = [
-    "stream-saturation",
-    "stream-bursts",
-    "slo-sweep",
-    "topology-sweep",
-    "fault-sweep",
-    "control-sweep",
-];
-
-/// Ablation artifacts (beyond the paper's evaluation; see `ablations`).
-pub const ABLATION_IDS: [&str; 7] = [
-    "ablation-alpha-fine",
-    "ablation-heterogeneity",
-    "ablation-bytes",
-    "ablation-procs",
-    "ablation-aptr",
-    "ablation-energy",
-    "ablation-quality",
-];
-
-/// All artifact ids.
+/// All artifact ids, in `apt-repro all` order.
 pub fn all_artifact_ids() -> Vec<&'static str> {
-    ARTIFACT_IDS
-        .iter()
-        .chain(LAMBDA_FIGURE_IDS.iter())
-        .chain(SUPPLEMENTARY_IDS.iter())
-        .chain(ABLATION_IDS.iter())
-        .chain(STREAM_IDS.iter())
-        .copied()
-        .collect()
+    ARTIFACTS.iter().map(|spec| spec.id).collect()
 }
 
 /// Regenerate one artifact by id. `None` for unknown ids.
 pub fn run_artifact(id: &str) -> Option<Artifact> {
-    let artifact = match id {
-        "table1" => Artifact::Text(tables::table1()),
-        "wins" => Artifact::Table(tables::wins()),
-        "table7" => Artifact::Table(tables::table7()),
-        "table8" => Artifact::Table(tables::table8()),
-        "table9" => Artifact::Table(tables::table9()),
-        "table10" => Artifact::Table(tables::table10()),
-        "table11" => Artifact::Table(tables::table11()),
-        "table12" => Artifact::Table(tables::table12()),
-        "table13" => Artifact::Table(tables::table13()),
-        "table14" => Artifact::Table(tables::table14()),
-        "table15" => Artifact::Table(tables::table15()),
-        "table16" => Artifact::Table(tables::table16()),
-        "fig3" => Artifact::Text(figures::fig3()),
-        "fig4" => Artifact::Text(figures::fig4()),
-        "fig5" => Artifact::Text(figures::fig5()),
-        "fig6" => Artifact::Table(figures::fig6()),
-        "fig7" => Artifact::Table(figures::fig7()),
-        "fig8" => Artifact::Table(figures::fig8()),
-        "fig8b" => Artifact::Table(figures::fig8b()),
-        "fig9" => Artifact::Table(figures::fig9()),
-        "fig10" => Artifact::Table(figures::fig10()),
-        "fig11" => Artifact::Table(figures::fig11()),
-        "fig12" => Artifact::Table(figures::fig12()),
-        "ablation-alpha-fine" => Artifact::Table(ablations::ablation_alpha_fine()),
-        "ablation-heterogeneity" => Artifact::Table(ablations::ablation_heterogeneity()),
-        "ablation-bytes" => Artifact::Table(ablations::ablation_bytes_per_element()),
-        "ablation-procs" => Artifact::Table(ablations::ablation_processor_count()),
-        "ablation-aptr" => Artifact::Table(ablations::ablation_apt_r()),
-        "ablation-energy" => Artifact::Table(ablations::ablation_energy()),
-        "ablation-quality" => Artifact::Table(ablations::ablation_quality()),
-        "stream-saturation" => Artifact::Table(streaming::stream_saturation()),
-        "stream-bursts" => Artifact::Table(streaming::stream_burst_comparison()),
-        "slo-sweep" => Artifact::Table(slo::slo_sweep()),
-        "topology-sweep" => Artifact::Table(topology::topology_sweep()),
-        "fault-sweep" => Artifact::Table(faults::fault_sweep()),
-        "control-sweep" => Artifact::Table(control::control_sweep()),
-        _ => return None,
-    };
-    Some(artifact)
-}
-
-/// True when [`artifact_csv`] has a CSV form for `id` — a static check,
-/// so callers can filter capabilities without triggering the sweep.
-pub fn artifact_has_csv(id: &str) -> bool {
-    matches!(
-        id,
-        "slo-sweep" | "stream-saturation" | "topology-sweep" | "fault-sweep" | "control-sweep"
-    )
-}
-
-/// Long-format CSV companion of an artifact (`apt-repro <id> --csv
-/// <path>`), for the open-stream scenarios whose windowed
-/// [`apt_metrics::StreamSnapshot`]s make plottable time series. `None`
-/// for artifacts without a CSV form (see [`artifact_has_csv`]).
-pub fn artifact_csv(id: &str) -> Option<String> {
-    match id {
-        "slo-sweep" => Some(slo::slo_sweep_csv()),
-        "stream-saturation" => Some(streaming::stream_saturation_csv()),
-        "topology-sweep" => Some(topology::topology_sweep_csv()),
-        "fault-sweep" => Some(faults::fault_sweep_csv()),
-        "control-sweep" => Some(control::control_sweep_csv()),
-        _ => None,
-    }
-}
-
-/// Both renderings of a CSV-capable artifact from **one** grid run — what
-/// `apt-repro <id> --csv <path>` uses so the sweep never simulates twice.
-/// `None` exactly when [`artifact_has_csv`] is false.
-pub fn artifact_with_csv(id: &str) -> Option<(Artifact, String)> {
-    match id {
-        "slo-sweep" => {
-            let (table, csv) = slo::slo_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "stream-saturation" => {
-            let (table, csv) = streaming::stream_saturation_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "topology-sweep" => {
-            let (table, csv) = topology::topology_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "fault-sweep" => {
-            let (table, csv) = faults::fault_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "control-sweep" => {
-            let (table, csv) = control::control_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        _ => None,
-    }
+    Some(artifact(id)?.run().0)
 }
 
 #[cfg(test)]
@@ -214,17 +252,18 @@ mod tests {
         assert!(all_artifact_ids().contains(&"topology-sweep"));
         assert!(all_artifact_ids().contains(&"fault-sweep"));
         assert!(all_artifact_ids().contains(&"control-sweep"));
-        assert!(
-            artifact_csv("table7").is_none(),
-            "closed tables have no CSV"
-        );
+        let has_csv = |id| artifact(id).unwrap().has_csv();
         // The static capability check agrees with the resolver for the
         // cheap (None) ids; the Some ids are pinned by their sweep tests.
-        assert!(!artifact_has_csv("table7"));
-        assert!(artifact_has_csv("slo-sweep"));
-        assert!(artifact_has_csv("stream-saturation"));
-        assert!(artifact_has_csv("topology-sweep"));
-        assert!(artifact_has_csv("fault-sweep"));
-        assert!(artifact_has_csv("control-sweep"));
+        assert!(
+            artifact("table7").unwrap().run().1.is_none(),
+            "closed tables have no CSV"
+        );
+        assert!(!has_csv("table7"));
+        assert!(has_csv("slo-sweep"));
+        assert!(has_csv("stream-saturation"));
+        assert!(has_csv("topology-sweep"));
+        assert!(has_csv("fault-sweep"));
+        assert!(has_csv("control-sweep"));
     }
 }

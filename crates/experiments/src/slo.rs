@@ -8,18 +8,18 @@
 //! deadline-aware policy roster (plain APT as the timeliness-oblivious
 //! control, EDF-APT, LL-APT), each both *open* (accept-all) and
 //! *admission-gated* (utilization-bound shedding), and reports per-cell
-//! miss rate, tardiness quantiles, and shed fractions. The same grid
-//! exports long-format [`apt_metrics::StreamSnapshot`] CSV through
-//! [`slo_sweep_csv`] (`apt-repro slo-sweep --csv <path>`), making the
-//! frontier a plottable artifact rather than a table.
+//! miss rate, tardiness quantiles, and shed fractions. The same grid run
+//! also yields long-format [`apt_metrics::StreamSnapshot`] CSV
+//! (`apt-repro slo-sweep --csv <path>`), making the frontier a plottable
+//! artifact rather than a table.
 
 use crate::runner::run_pool;
+use crate::streaming::{snapshots_csv, Traffic, SWEEP_WINDOW};
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
-use apt_metrics::export::snapshots_to_csv;
 use apt_metrics::TextTable;
 use apt_slo::{AcceptAll, AdmissionPolicy, UtilizationBound};
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
+use apt_stream::{simulate_source_gated, DeadlineSpec, DriverOpts, StreamOutcome};
 
 /// Jobs per sweep cell — small enough for the full grid to regenerate in
 /// seconds, large enough for stable miss rates.
@@ -66,28 +66,23 @@ pub fn slo_policy_factories(alpha: f64) -> Vec<(String, PolicyFactory)> {
 }
 
 /// One sweep cell: a deadline-tagged Poisson stream under one policy and
-/// one admission mode. `snapshots` enables the periodic windows the CSV
-/// exporter needs (the table path skips them).
+/// one admission mode, with [`SWEEP_WINDOW`] snapshots.
 pub fn slo_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     tightness: f64,
     gated: bool,
-    snapshots: bool,
 ) -> StreamOutcome {
     let lookup = LookupTable::paper();
     let config = SystemConfig::paper_4gbps();
     let mut policy = make();
-    let mut source = PoissonSource::new(
-        lookup,
-        rate,
+    let mut source = Traffic::Poisson { rate }.source(
         SLO_JOBS,
-        JobFamily::Diamond { width: 2 },
         SLO_SEED,
-    )
-    .with_deadlines(DeadlineSpec::ProportionalCp { factor: tightness });
+        DeadlineSpec::ProportionalCp { factor: tightness },
+    );
     let opts = DriverOpts {
-        snapshot_interval: snapshots.then(|| SimDuration::from_ms(120_000)),
+        snapshot_interval: Some(SWEEP_WINDOW),
         max_in_flight_jobs: Some(SLO_CAP),
         ..DriverOpts::default()
     };
@@ -99,13 +94,14 @@ pub fn slo_point(
     } else {
         &mut accept_all
     };
-    apt_slo::simulate_source_slo(
-        &mut source,
+    simulate_source_gated(
+        source.as_mut(),
         &config,
         lookup,
         policy.as_mut(),
-        admission,
         &opts,
+        admission,
+        |_| {},
     )
     .expect("slo sweep point failed")
 }
@@ -148,29 +144,16 @@ fn admission_label(gated: bool) -> String {
     }
 }
 
-/// Run the whole sweep grid once (optionally snapshot-enabled).
-fn run_grid(snapshots: bool) -> (Vec<SloCell>, Vec<StreamOutcome>) {
+/// The α × λ × tightness miss-rate/tardiness frontier, per policy, open
+/// vs admission-gated. One grid run yields the table and its long-format
+/// snapshot CSV, labelled `policy/α/λ/tight/admission`.
+pub fn slo_sweep() -> (TextTable, String) {
     let cells = grid();
     let outcomes = run_pool(cells.len(), |i| {
         let (alpha, rate, tight, policy_idx, gated) = cells[i];
         let factories = slo_policy_factories(alpha);
-        let (_, make) = &factories[policy_idx];
-        slo_point(make.as_ref(), rate, tight, gated, snapshots)
+        slo_point(factories[policy_idx].1.as_ref(), rate, tight, gated)
     });
-    (cells, outcomes)
-}
-
-/// The α × λ × tightness miss-rate/tardiness frontier, per policy, open
-/// vs admission-gated.
-pub fn slo_sweep() -> TextTable {
-    let (cells, outcomes) = run_grid(false);
-    render_slo_table(&cells, &outcomes)
-}
-
-/// Render the sweep table from computed outcomes (shared by the plain and
-/// the table-plus-CSV paths; the aggregates don't depend on whether
-/// snapshots were enabled).
-fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable {
     let mut table = TextTable::new(
         format!(
             "SLO sweep — {SLO_JOBS} Poisson diamond jobs/cell, D = tightness × CP_min, \
@@ -190,15 +173,19 @@ fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable 
             "p99 lat (ms)",
         ],
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let (alpha, rate, tight, policy_idx, gated) = cells[i];
+    let mut labels = Vec::with_capacity(cells.len());
+    for (&(alpha, rate, tight, policy_idx, gated), o) in cells.iter().zip(&outcomes) {
         let name = &slo_policy_factories(alpha)[policy_idx].0;
+        let admission = admission_label(gated);
+        labels.push(format!(
+            "{name}/α={alpha}/λ={rate}/tight={tight}/{admission}"
+        ));
         table.push_row(vec![
             format!("{alpha}"),
             format!("{rate}"),
             format!("{tight}"),
             name.clone(),
-            admission_label(gated),
+            admission,
             format!("{}", o.jobs_admitted),
             format!("{}", o.jobs_shed),
             format!("{:.1}", o.miss_rate() * 100.0),
@@ -207,47 +194,7 @@ fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable 
             format!("{:.0}", o.latency_p99_ms),
         ]);
     }
-    table
-}
-
-/// Render the long-format snapshot CSV from snapshot-enabled outcomes,
-/// labelled `policy/α/λ/tight/admission`.
-fn render_slo_csv(cells: &[SloCell], outcomes: &[StreamOutcome]) -> String {
-    let labels: Vec<String> = cells
-        .iter()
-        .map(|&(alpha, rate, tight, policy_idx, gated)| {
-            let name = &slo_policy_factories(alpha)[policy_idx].0;
-            format!(
-                "{name}/α={alpha}/λ={rate}/tight={tight}/{}",
-                admission_label(gated)
-            )
-        })
-        .collect();
-    snapshots_to_csv(
-        labels
-            .iter()
-            .zip(outcomes)
-            .map(|(label, o)| (label.as_str(), o.snapshots.as_slice())),
-    )
-}
-
-/// Long-format snapshot CSV over the same grid (windows every 2 simulated
-/// minutes). Prefer [`slo_sweep_with_csv`] when the table is also wanted
-/// — it runs the grid once for both.
-pub fn slo_sweep_csv() -> String {
-    let (cells, outcomes) = run_grid(true);
-    render_slo_csv(&cells, &outcomes)
-}
-
-/// One snapshot-enabled grid run rendered both ways: the sweep table and
-/// the long-format CSV (`apt-repro slo-sweep --csv <path>` uses this so
-/// the grid simulates once, not twice).
-pub fn slo_sweep_with_csv() -> (TextTable, String) {
-    let (cells, outcomes) = run_grid(true);
-    (
-        render_slo_table(&cells, &outcomes),
-        render_slo_csv(&cells, &outcomes),
-    )
+    (table, snapshots_csv(&labels, &outcomes))
 }
 
 #[cfg(test)]
@@ -265,8 +212,8 @@ mod tests {
             vec!["APT", "EDF-APT", "LL-APT"],
         );
         let (_, edf) = &factories[1];
-        let a = slo_point(edf.as_ref(), 0.15, 8.0, false, false);
-        let b = slo_point(edf.as_ref(), 0.15, 8.0, false, false);
+        let a = slo_point(edf.as_ref(), 0.15, 8.0, false);
+        let b = slo_point(edf.as_ref(), 0.15, 8.0, false);
         assert_eq!(a.end, b.end);
         assert_eq!(a.deadline_misses, b.deadline_misses);
         assert_eq!(a.proc_stats, b.proc_stats);
@@ -280,8 +227,8 @@ mod tests {
     fn overload_cells_show_the_admission_difference() {
         let factories = slo_policy_factories(4.0);
         let (_, edf) = &factories[1];
-        let open = slo_point(edf.as_ref(), 0.45, 2.0, false, false);
-        let gated = slo_point(edf.as_ref(), 0.45, 2.0, true, false);
+        let open = slo_point(edf.as_ref(), 0.45, 2.0, false);
+        let gated = slo_point(edf.as_ref(), 0.45, 2.0, true);
         assert_eq!(open.jobs_shed, 0);
         assert!(gated.jobs_shed > 0, "overload must shed under the gate");
         assert!(
@@ -294,7 +241,8 @@ mod tests {
 
     #[test]
     fn sweep_table_covers_the_full_grid() {
-        let t = slo_sweep();
+        let (t, csv) = slo_sweep();
+        assert!(csv.starts_with("label,end_ms"));
         assert_eq!(
             t.row_count(),
             SLO_ALPHAS.len() * SLO_RATES.len() * SLO_TIGHTNESS.len() * 3 * 2
@@ -304,10 +252,10 @@ mod tests {
     #[test]
     fn csv_has_header_plus_window_rows() {
         // One cell's worth of CSV through the public exporter shape: run a
-        // single snapshot-enabled point and export it.
+        // single point and export its windows.
         let factories = slo_policy_factories(4.0);
         let (_, ll) = &factories[2];
-        let o = slo_point(ll.as_ref(), 0.15, 2.0, true, true);
+        let o = slo_point(ll.as_ref(), 0.15, 2.0, true);
         assert!(!o.snapshots.is_empty());
         let csv = apt_metrics::export::snapshots_to_csv([("cell", o.snapshots.as_slice())]);
         assert_eq!(csv.lines().count(), 1 + o.snapshots.len());

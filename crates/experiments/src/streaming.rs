@@ -15,7 +15,10 @@ use crate::runner::run_pool;
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::TextTable;
-use apt_stream::{simulate_source, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
+use apt_stream::{
+    simulate_source, DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, OnOffSource,
+    PoissonSource, Source, StreamOutcome,
+};
 
 /// Jobs per sweep point. Small enough that the full λ grid regenerates in
 /// seconds, large enough that quantile estimates stabilize.
@@ -46,62 +49,71 @@ pub fn stream_policy_factories(alpha: f64) -> Vec<(String, PolicyFactory)> {
         .collect()
 }
 
-/// One sweep cell: policy × offered λ.
-pub fn stream_point(
-    make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
-    rate: f64,
-) -> StreamOutcome {
-    stream_point_windowed(make, rate, None)
+/// Metrics-window width of the open-stream sweeps whose CSV is a
+/// long-format snapshot series (two simulated minutes).
+pub const SWEEP_WINDOW: SimDuration = SimDuration::from_ms(120_000);
+
+/// The arrival process of an open-stream scenario, as data: every sweep,
+/// comparison and representative cell draws its paper-table diamond jobs
+/// through [`Traffic::source`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Traffic {
+    /// Poisson arrivals at `rate` jobs/s.
+    Poisson {
+        /// Offered rate, jobs per simulated second.
+        rate: f64,
+    },
+    /// Two-state MMPP: `rate` jobs/s bursts lasting `on` on average,
+    /// separated by quiet periods lasting `off` on average.
+    OnOff {
+        /// Rate inside a burst, jobs per simulated second.
+        rate: f64,
+        /// Mean burst length.
+        on: SimDuration,
+        /// Mean quiet length.
+        off: SimDuration,
+    },
+    /// A rate swinging from `base` up to `base + swing` and back once per
+    /// `period`.
+    Diurnal {
+        /// Trough rate, jobs per simulated second.
+        base: f64,
+        /// Peak-over-trough rate, jobs per simulated second.
+        swing: f64,
+        /// Length of one "day".
+        period: SimDuration,
+    },
 }
 
-/// [`stream_point`] with optional periodic snapshots (the CSV exporter's
-/// path; the table path skips the windows).
-pub fn stream_point_windowed(
-    make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
-    rate: f64,
-    snapshot_interval: Option<SimDuration>,
-) -> StreamOutcome {
-    let mut policy = make();
-    let mut source = PoissonSource::new(
-        LookupTable::paper(),
-        rate,
-        SWEEP_JOBS,
-        JobFamily::Diamond { width: 2 },
-        SWEEP_SEED,
-    );
-    simulate_source(
-        &mut source,
-        &SystemConfig::paper_4gbps(),
-        LookupTable::paper(),
-        policy.as_mut(),
-        &DriverOpts {
-            snapshot_interval,
-            max_in_flight_jobs: Some(SWEEP_CAP),
-            ..DriverOpts::default()
-        },
-    )
-    .expect("stream sweep point failed")
+impl Traffic {
+    /// A stream of `jobs` diamond jobs with this arrival shape, seeded by
+    /// `seed` and tagged by `deadlines`.
+    pub fn source(self, jobs: u64, seed: u64, deadlines: DeadlineSpec) -> Box<dyn Source> {
+        let lookup = LookupTable::paper();
+        let family = JobFamily::Diamond { width: 2 };
+        match self {
+            Traffic::Poisson { rate } => Box::new(
+                PoissonSource::new(lookup, rate, jobs, family, seed).with_deadlines(deadlines),
+            ),
+            Traffic::OnOff { rate, on, off } => Box::new(
+                OnOffSource::new(lookup, rate, on, off, jobs, family, seed)
+                    .with_deadlines(deadlines),
+            ),
+            Traffic::Diurnal {
+                base,
+                swing,
+                period,
+            } => Box::new(
+                DiurnalSource::new(lookup, base, swing, period, jobs, family, seed)
+                    .with_deadlines(deadlines),
+            ),
+        }
+    }
 }
 
-/// Run the λ × policy grid once on the shared worker pool.
-fn run_saturation_grid(snapshot_interval: Option<SimDuration>) -> Vec<StreamOutcome> {
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    run_pool(SWEEP_RATES.len() * factories.len(), |i| {
-        let rate = SWEEP_RATES[i / factories.len()];
-        let (_, make) = &factories[i % factories.len()];
-        stream_point_windowed(make.as_ref(), rate, snapshot_interval)
-    })
-}
-
-/// Render the λ sweep's long-format snapshot CSV, labelled `policy/λ`.
-fn render_saturation_csv(outcomes: &[StreamOutcome]) -> String {
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let labels: Vec<String> = (0..outcomes.len())
-        .map(|i| {
-            let rate = SWEEP_RATES[i / factories.len()];
-            format!("{}/λ={rate}", factories[i % factories.len()].0)
-        })
-        .collect();
+/// The long-format snapshot CSV of a sweep: each outcome's windows under
+/// its cell label.
+pub(crate) fn snapshots_csv(labels: &[String], outcomes: &[StreamOutcome]) -> String {
     apt_metrics::export::snapshots_to_csv(
         labels
             .iter()
@@ -110,36 +122,43 @@ fn render_saturation_csv(outcomes: &[StreamOutcome]) -> String {
     )
 }
 
-/// Long-format snapshot CSV over the λ × policy grid (windows every 2
-/// simulated minutes) — the plottable companion of [`stream_saturation`].
-/// Prefer [`stream_saturation_with_csv`] when the table is also wanted.
-pub fn stream_saturation_csv() -> String {
-    render_saturation_csv(&run_saturation_grid(Some(SimDuration::from_ms(120_000))))
-}
-
-/// One snapshot-enabled grid run rendered both ways: the saturation table
-/// and the long-format CSV (`apt-repro stream-saturation --csv <path>`
-/// uses this so the grid simulates once, not twice).
-pub fn stream_saturation_with_csv() -> (TextTable, String) {
-    let outcomes = run_saturation_grid(Some(SimDuration::from_ms(120_000)));
-    (
-        render_saturation_table(&outcomes),
-        render_saturation_csv(&outcomes),
+/// One sweep cell: policy × offered λ, with [`SWEEP_WINDOW`] snapshots.
+pub fn stream_point(
+    make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
+    rate: f64,
+) -> StreamOutcome {
+    let mut policy = make();
+    let mut source = Traffic::Poisson { rate }.source(SWEEP_JOBS, SWEEP_SEED, DeadlineSpec::None);
+    simulate_source(
+        source.as_mut(),
+        &SystemConfig::paper_4gbps(),
+        LookupTable::paper(),
+        policy.as_mut(),
+        &DriverOpts {
+            snapshot_interval: Some(SWEEP_WINDOW),
+            max_in_flight_jobs: Some(SWEEP_CAP),
+            ..DriverOpts::default()
+        },
     )
+    .expect("stream sweep point failed")
 }
 
 /// The λ-saturation sweep: offered rate vs achieved throughput, latency
 /// quantiles, peak backlog and utilization, per dynamic policy at the
-/// paper's best α.
-pub fn stream_saturation() -> TextTable {
-    render_saturation_table(&run_saturation_grid(None))
-}
-
-/// Render the saturation table from computed outcomes (the aggregates
-/// don't depend on whether snapshots were enabled).
-fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
+/// paper's best α. One run of the λ × policy grid yields the table and
+/// its long-format snapshot CSV, labelled `policy/λ`.
+pub fn stream_saturation() -> (TextTable, String) {
     let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let rates = SWEEP_RATES;
+    let cell = |i: usize| {
+        (
+            SWEEP_RATES[i / factories.len()],
+            &factories[i % factories.len()],
+        )
+    };
+    let outcomes = run_pool(SWEEP_RATES.len() * factories.len(), |i| {
+        let (rate, (_, make)) = cell(i);
+        stream_point(make.as_ref(), rate)
+    });
     let mut table = TextTable::new(
         format!(
             "Open-stream λ sweep — {} Poisson diamond jobs/point, α = {} (sat = admission capped at {} in flight)",
@@ -156,13 +175,14 @@ fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
             "sat",
         ],
     );
+    let mut labels = Vec::with_capacity(outcomes.len());
     for (i, o) in outcomes.iter().enumerate() {
-        let rate = rates[i / factories.len()];
+        let (rate, (name, _)) = cell(i);
         let mean_util =
             o.utilization().iter().sum::<f64>() / o.proc_stats.len().max(1) as f64 * 100.0;
         table.push_row(vec![
             format!("{rate}"),
-            factories[i % factories.len()].0.clone(),
+            name.clone(),
             format!("{:.2}", o.throughput_jps),
             format!("{:.0}", o.latency_p50_ms),
             format!("{:.0}", o.latency_p99_ms),
@@ -170,8 +190,9 @@ fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
             format!("{mean_util:.0}"),
             if o.saturated { "yes" } else { "" }.to_string(),
         ]);
+        labels.push(format!("{name}/λ={rate}"));
     }
-    table
+    (table, snapshots_csv(&labels, &outcomes))
 }
 
 /// Burst absorption: the same offered average load shaped as a steady
@@ -179,66 +200,39 @@ fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
 /// how much tail latency each policy's flexibility buys back under bursty
 /// traffic — APT's raison d'être in an open system.
 pub fn stream_burst_comparison() -> TextTable {
-    use apt_stream::{DiurnalSource, OnOffSource, Source};
-    type SourceFactory = Box<dyn Fn() -> Box<dyn Source> + Send + Sync>;
     let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let shapes: Vec<(&str, SourceFactory)> = vec![
-        (
-            "steady",
-            Box::new(|| {
-                Box::new(PoissonSource::new(
-                    LookupTable::paper(),
-                    0.15,
-                    SWEEP_JOBS,
-                    JobFamily::Diamond { width: 2 },
-                    SWEEP_SEED,
-                )) as Box<dyn Source>
-            }),
-        ),
+    let shapes = [
+        ("steady", Traffic::Poisson { rate: 0.15 }),
+        // ≈ 0.15 j/s average: 0.75 j/s bursts, ON 1/5 of the time.
         (
             "bursty",
-            Box::new(|| {
-                // ≈ 0.15 j/s average: 0.75 j/s bursts, ON 1/5 of the time.
-                Box::new(OnOffSource::new(
-                    LookupTable::paper(),
-                    0.75,
-                    SimDuration::from_ms(20_000),
-                    SimDuration::from_ms(80_000),
-                    SWEEP_JOBS,
-                    JobFamily::Diamond { width: 2 },
-                    SWEEP_SEED,
-                )) as Box<dyn Source>
-            }),
+            Traffic::OnOff {
+                rate: 0.75,
+                on: SimDuration::from_ms(20_000),
+                off: SimDuration::from_ms(80_000),
+            },
         ),
+        // Swings 0.05 … 0.25 j/s (≈ 0.15 average) over a 10-minute "day".
         (
             "diurnal",
-            Box::new(|| {
-                // Swings 0.05 … 0.25 j/s (≈ 0.15 average) over a 10-minute
-                // "day".
-                Box::new(DiurnalSource::new(
-                    LookupTable::paper(),
-                    0.05,
-                    0.2,
-                    SimDuration::from_ms(600_000),
-                    SWEEP_JOBS,
-                    JobFamily::Diamond { width: 2 },
-                    SWEEP_SEED,
-                )) as Box<dyn Source>
-            }),
+            Traffic::Diurnal {
+                base: 0.05,
+                swing: 0.2,
+                period: SimDuration::from_ms(600_000),
+            },
         ),
     ];
     let outcomes = run_pool(shapes.len() * factories.len(), |i| {
-        let (_, make_source) = &shapes[i / factories.len()];
+        let (_, traffic) = shapes[i / factories.len()];
         let (_, make_policy) = &factories[i % factories.len()];
         let mut policy = make_policy();
-        let mut source = make_source();
+        let mut source = traffic.source(SWEEP_JOBS, SWEEP_SEED, DeadlineSpec::None);
         simulate_source(
             source.as_mut(),
             &SystemConfig::paper_4gbps(),
             LookupTable::paper(),
             policy.as_mut(),
             &DriverOpts {
-                snapshot_interval: None,
                 max_in_flight_jobs: Some(SWEEP_CAP),
                 ..DriverOpts::default()
             },
@@ -303,7 +297,8 @@ mod tests {
 
     #[test]
     fn saturation_table_has_the_full_grid() {
-        let t = stream_saturation();
+        let (t, csv) = stream_saturation();
+        assert!(csv.starts_with("label,end_ms"));
         assert_eq!(
             t.row_count(),
             SWEEP_RATES.len() * stream_policy_factories(4.0).len()

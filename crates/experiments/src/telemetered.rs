@@ -1,9 +1,9 @@
 //! `apt-repro <scenario> --metrics <path>` — live telemetry exposition of
 //! one representative open-stream cell.
 //!
-//! Runs the same representative stream as [`crate::traced`] (shared
-//! [`crate::traced::traced_source`] fixtures — the `--metrics` registry
-//! observes the very cell the `--trace` timeline draws) under an armed
+//! Runs the same representative cell as [`crate::traced`] (one
+//! [`crate::traced::TraceCell`] per open-stream artifact — the `--metrics`
+//! registry observes the very cell the `--trace` timeline draws) under an armed
 //! [`apt_stream::StreamTelemetry`] with engine self-profiling requested,
 //! and renders three artifacts:
 //!
@@ -19,13 +19,10 @@
 //! heartbeat (jobs/s, in-flight, miss rate, live α/ρ, ETA) — the soak-run
 //! operator surface the CI smoke step exercises.
 
-use crate::traced::{traced_source, TRACE_JOBS};
+use crate::traced::{CellRun, TraceCell, TRACE_JOBS};
 use apt_core::prelude::*;
-use apt_slo::UtilizationBound;
-use apt_stream::{DriverOpts, StreamTelemetry};
+use apt_stream::StreamTelemetry;
 use apt_telemetry::{validate, validate_jsonl};
-
-use crate::control::{control_stack, CONTROL_WINDOW};
 
 /// Keys every JSONL snapshot line must carry (the schema the CI soak
 /// smoke step checks).
@@ -58,16 +55,9 @@ pub struct MetricsExport {
     pub lines: usize,
 }
 
-/// True when [`artifact_metrics`] has a representative telemetered run
-/// for `id` — the same scenario set as the traced form, since both
-/// observe the same representative cell.
-pub fn artifact_has_metrics(id: &str) -> bool {
-    crate::traced::artifact_has_trace(id)
-}
-
-/// Run the representative cell for `id` under an armed telemetry
-/// registry (heartbeat on when `progress`) and render the expositions.
-/// `None` exactly when [`artifact_has_metrics`] is false.
+/// Run an artifact's representative cell (see
+/// [`crate::ArtifactSpec::trace_cell`]) under an armed telemetry registry
+/// (heartbeat on when `progress`) and render the expositions.
 ///
 /// # Panics
 ///
@@ -75,34 +65,20 @@ pub fn artifact_has_metrics(id: &str) -> bool {
 /// Prometheus, schema-incomplete JSONL, or phase coverage below 90% —
 /// since a soak run with broken observability must fail loudly, not
 /// quietly emit garbage dashboards.
-pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
-    let (mut source, faults) = traced_source(id)?;
-    let lookup = LookupTable::paper();
-    let config = SystemConfig::paper_4gbps();
-    let mut policy = EdfApt::new(PAPER_BEST_ALPHA);
-    let mut gate = UtilizationBound::new(lookup, &config, 1.0);
-    let mut stack = control_stack();
-    let opts = DriverOpts {
-        snapshot_interval: Some(CONTROL_WINDOW),
-        faults,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..DriverOpts::default()
-    };
+pub fn artifact_metrics(cell: &TraceCell, progress: bool) -> MetricsExport {
+    let mut run = CellRun::new(cell);
     let mut tel = StreamTelemetry::new().with_engine_profile();
     if progress {
         tel = tel.with_progress(Some(TRACE_JOBS));
     }
     let (outcome, _sink) = apt_stream::simulate_source_telemetered(
-        source.as_mut(),
-        &config,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
+        run.source.as_mut(),
+        &run.config,
+        LookupTable::paper(),
+        &mut run.policy,
+        &run.opts,
+        &mut run.gate,
+        Some(&mut run.stack),
         None,
         &mut tel,
         |_| {},
@@ -127,14 +103,14 @@ pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
         100.0 * report.coverage()
     );
 
-    Some(MetricsExport {
+    MetricsExport {
         coverage: report.coverage(),
         report: report.render(),
         samples,
         lines: lines as usize,
         jsonl: tel.jsonl().to_string(),
         prometheus,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -149,7 +125,8 @@ mod tests {
     /// content).
     #[test]
     fn stream_saturation_metrics_meet_the_acceptance_contract() {
-        let export = artifact_metrics("stream-saturation", false).unwrap();
+        let spec = crate::artifact("stream-saturation").unwrap();
+        let export = artifact_metrics(spec.trace_cell().unwrap(), false);
         assert!(export.coverage >= 0.90);
         assert!(export.samples > 0);
         assert!(export.lines > 0);
@@ -188,10 +165,11 @@ mod tests {
 
     #[test]
     fn capability_check_matches_the_resolver() {
-        assert!(artifact_has_metrics("stream-saturation"));
-        assert!(artifact_has_metrics("control-sweep"));
-        assert!(!artifact_has_metrics("table7"));
-        assert!(artifact_metrics("table7", false).is_none());
-        assert!(artifact_metrics("nope", false).is_none());
+        // The telemetered form observes the traced form's cell.
+        let has_metrics = |id| crate::artifact(id).unwrap().trace_cell().is_some();
+        assert!(has_metrics("stream-saturation"));
+        assert!(has_metrics("control-sweep"));
+        assert!(!has_metrics("table7"));
+        assert!(crate::artifact("nope").is_none());
     }
 }

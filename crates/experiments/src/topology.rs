@@ -24,10 +24,10 @@
 //! exports the windowed snapshots in long format for plotting.
 
 use crate::runner::run_pool;
-use crate::streaming::stream_policy_factories;
+use crate::streaming::{snapshots_csv, stream_policy_factories, Traffic, SWEEP_WINDOW};
 use apt_core::prelude::*;
 use apt_metrics::TextTable;
-use apt_stream::{simulate_source, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
+use apt_stream::{simulate_source, DeadlineSpec, DriverOpts, StreamOutcome};
 
 /// Jobs per sweep cell. Smaller than the single-topology sweep's 600: the
 /// grid is 4 topologies wide.
@@ -92,46 +92,27 @@ pub fn topology_variants() -> Vec<(&'static str, SystemConfig)> {
     ]
 }
 
-/// One sweep cell: policy × offered λ on one topology.
+/// One sweep cell: policy × offered λ on one topology, with
+/// [`SWEEP_WINDOW`] snapshots.
 pub fn topology_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     config: &SystemConfig,
-    snapshot_interval: Option<SimDuration>,
 ) -> StreamOutcome {
     let mut policy = make();
-    let mut source = PoissonSource::new(
-        LookupTable::paper(),
-        rate,
-        TOPO_JOBS,
-        JobFamily::Diamond { width: 2 },
-        TOPO_SEED,
-    );
+    let mut source = Traffic::Poisson { rate }.source(TOPO_JOBS, TOPO_SEED, DeadlineSpec::None);
     simulate_source(
-        &mut source,
+        source.as_mut(),
         config,
         LookupTable::paper(),
         policy.as_mut(),
         &DriverOpts {
-            snapshot_interval,
+            snapshot_interval: Some(SWEEP_WINDOW),
             max_in_flight_jobs: Some(TOPO_CAP),
             ..DriverOpts::default()
         },
     )
     .expect("topology sweep point failed")
-}
-
-/// Run the topology × λ × policy grid once on the shared worker pool.
-fn run_topology_grid(snapshot_interval: Option<SimDuration>) -> Vec<StreamOutcome> {
-    let variants = topology_variants();
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let per_topo = TOPO_RATES.len() * factories.len();
-    run_pool(variants.len() * per_topo, |i| {
-        let (_, config) = &variants[i / per_topo];
-        let rate = TOPO_RATES[(i % per_topo) / factories.len()];
-        let (_, make) = &factories[i % factories.len()];
-        topology_point(make.as_ref(), rate, config, snapshot_interval)
-    })
 }
 
 /// Cell label (`topology/policy/λ=r`) for row `i` of the flattened grid.
@@ -147,10 +128,19 @@ fn cell_label(i: usize) -> String {
     )
 }
 
-fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
+/// The topology saturation sweep (see the module docs). One run of the
+/// topology × λ × policy grid yields the table and its long-format
+/// snapshot CSV, labelled `topology/policy/λ=r`.
+pub fn topology_sweep() -> (TextTable, String) {
     let variants = topology_variants();
     let factories = stream_policy_factories(PAPER_BEST_ALPHA);
     let per_topo = TOPO_RATES.len() * factories.len();
+    let outcomes = run_pool(variants.len() * per_topo, |i| {
+        let (_, config) = &variants[i / per_topo];
+        let rate = TOPO_RATES[(i % per_topo) / factories.len()];
+        let (_, make) = &factories[i % factories.len()];
+        topology_point(make.as_ref(), rate, config)
+    });
     let mut table = TextTable::new(
         format!(
             "Topology sweep — {} Poisson diamond jobs/cell on 2×(CPU+GPU+FPGA), α = {} (sat = admission capped at {} in flight)",
@@ -189,38 +179,8 @@ fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
             if o.saturated { "yes" } else { "" }.to_string(),
         ]);
     }
-    table
-}
-
-fn render_topology_csv(outcomes: &[StreamOutcome]) -> String {
     let labels: Vec<String> = (0..outcomes.len()).map(cell_label).collect();
-    apt_metrics::export::snapshots_to_csv(
-        labels
-            .iter()
-            .zip(outcomes)
-            .map(|(label, o)| (label.as_str(), o.snapshots.as_slice())),
-    )
-}
-
-/// The topology saturation sweep (see the module docs).
-pub fn topology_sweep() -> TextTable {
-    render_topology_table(&run_topology_grid(None))
-}
-
-/// Long-format snapshot CSV over the topology grid (windows every 2
-/// simulated minutes) — the plottable companion of [`topology_sweep`].
-pub fn topology_sweep_csv() -> String {
-    render_topology_csv(&run_topology_grid(Some(SimDuration::from_ms(120_000))))
-}
-
-/// One snapshot-enabled grid run rendered both ways, so
-/// `apt-repro topology-sweep --csv <path>` simulates the grid once.
-pub fn topology_sweep_with_csv() -> (TextTable, String) {
-    let outcomes = run_topology_grid(Some(SimDuration::from_ms(120_000)));
-    (
-        render_topology_table(&outcomes),
-        render_topology_csv(&outcomes),
-    )
+    (table, snapshots_csv(&labels, &outcomes))
 }
 
 #[cfg(test)]
@@ -241,7 +201,7 @@ mod tests {
             config.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
             // APT schedules every job on every interconnect at the
             // lightest swept load.
-            let o = topology_point(apt.as_ref(), TOPO_RATES[0], config, None);
+            let o = topology_point(apt.as_ref(), TOPO_RATES[0], config);
             assert!(!o.saturated, "{name}");
             assert_eq!(o.jobs_completed, TOPO_JOBS, "{name}");
         }
@@ -276,8 +236,8 @@ mod tests {
         let variants = topology_variants();
         let factories = stream_policy_factories(PAPER_BEST_ALPHA);
         let (_, apt) = &factories[0];
-        let uniform = topology_point(apt.as_ref(), 0.4, &variants[0].1, None);
-        let star = topology_point(apt.as_ref(), 0.4, &variants[2].1, None);
+        let uniform = topology_point(apt.as_ref(), 0.4, &variants[0].1);
+        let star = topology_point(apt.as_ref(), 0.4, &variants[2].1);
         assert!(
             star.latency_p99_ms > uniform.latency_p99_ms
                 || star.throughput_jps < uniform.throughput_jps
@@ -289,7 +249,7 @@ mod tests {
             uniform.throughput_jps,
         );
         // Determinism: the same cell replays identically.
-        let again = topology_point(apt.as_ref(), 0.4, &variants[2].1, None);
+        let again = topology_point(apt.as_ref(), 0.4, &variants[2].1);
         assert_eq!(star.end, again.end);
         assert_eq!(star.proc_stats, again.proc_stats);
     }

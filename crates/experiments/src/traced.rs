@@ -21,9 +21,11 @@
 //!   printed under the artifact.
 
 use crate::control::{control_stack, CONTROL_WINDOW};
+use crate::streaming::Traffic;
+use apt_control::ControllerStack;
 use apt_core::prelude::*;
 use apt_slo::UtilizationBound;
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source};
+use apt_stream::{DeadlineSpec, DriverOpts, Source};
 use apt_trace::chrome::{chrome_trace, validate, ChromeConfig, ChromeStats};
 use apt_trace::summary::render_summary;
 use apt_trace::VecSink;
@@ -52,136 +54,97 @@ pub struct TraceExport {
     pub stats: ChromeStats,
 }
 
-/// True when [`artifact_trace`] has a representative traced run for `id`
-/// — a static check, so the CLI can filter capabilities without running
-/// anything.
-pub fn artifact_has_trace(id: &str) -> bool {
-    matches!(
-        id,
-        "stream-saturation"
-            | "stream-bursts"
-            | "slo-sweep"
-            | "topology-sweep"
-            | "fault-sweep"
-            | "control-sweep"
-    )
+/// The representative cell of one open-stream artifact, as data: a
+/// deadline-tagged stream shaped like the sweep's own traffic, plus the
+/// faults its timeline should show. The `--trace` timeline and the
+/// `--metrics` registry observe the same cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceCell {
+    /// Arrival shape of the cell's [`TRACE_JOBS`]-job stream.
+    pub(crate) traffic: Traffic,
+    /// Per-execution transient kernel failure probability.
+    pub(crate) transient: f64,
+    /// Crash/repair episodes as `(MTTF, MTTR)`, if any.
+    pub(crate) crashes: Option<(SimDuration, SimDuration)>,
 }
 
-/// The representative stream of one scenario id: an arrival source shaped
-/// like the sweep's traffic, plus the fault plan the timeline should show.
-/// Shared with the telemetered form (`--metrics` observes the same cell
-/// the `--trace` timeline draws).
-pub(crate) fn traced_source(id: &str) -> Option<(Box<dyn Source>, FaultPlan)> {
-    let lookup = LookupTable::paper();
-    let deadlines = DeadlineSpec::ProportionalCp { factor: 6.0 };
-    let family = JobFamily::Diamond { width: 2 };
-    // A light transient-failure rate on every timeline: retries are part
-    // of what the trace exists to make visible.
-    let transient = FaultPlan::seeded(TRACE_SEED).with_transient(0.02);
-    let run = match id {
-        // The saturation sweep's interesting regime: λ ≈ 1.3× the ~0.3 j/s
-        // service capacity, where shedding and alt-placements dominate.
-        "stream-saturation" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.4, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Burst absorption: 3×-capacity bursts with long quiet valleys.
-        "stream-bursts" => (
-            Box::new(
-                OnOffSource::new(
-                    lookup,
-                    1.0,
-                    SimDuration::from_ms(40_000),
-                    SimDuration::from_ms(80_000),
-                    TRACE_JOBS,
-                    family,
-                    TRACE_SEED,
-                )
-                .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Deadline frontier / topology rows: a sustainable 0.25 j/s feed —
-        // the timeline shows λ-delay structure rather than overload.
-        "slo-sweep" | "topology-sweep" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.25, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Failure injection: crash/repair episodes shrink the machine on
-        // top of the transient rate — crash and repair instants land on
-        // the processor tracks.
-        "fault-sweep" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.2, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            FaultPlan::seeded(TRACE_SEED)
-                .with_transient(0.05)
-                .with_crashes(SimDuration::from_ms(45_000), SimDuration::from_ms(10_000)),
-        ),
-        // The control plane's shifted diurnal regime — the trace where the
-        // α/ρ counter tracks actually move.
-        "control-sweep" => (
-            Box::new(
-                apt_stream::DiurnalSource::new(
-                    lookup,
-                    0.2,
-                    0.6,
-                    SimDuration::from_ms(600_000),
-                    TRACE_JOBS,
-                    family,
-                    TRACE_SEED,
-                )
-                .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        _ => return None,
-    };
-    Some(run)
+impl TraceCell {
+    /// A crash-free cell with the light transient-failure rate every
+    /// timeline carries: retries are part of what the trace exists to
+    /// make visible.
+    pub(crate) const fn new(traffic: Traffic) -> TraceCell {
+        TraceCell {
+            traffic,
+            transient: 0.02,
+            crashes: None,
+        }
+    }
 }
 
-/// Run the representative traced cell for `id` and render both the Chrome
-/// JSON and the summary. `None` exactly when [`artifact_has_trace`] is
-/// false.
-pub fn artifact_trace(id: &str) -> Option<TraceExport> {
+/// Everything a representative run drives, built in one place for the
+/// traced and the telemetered form: `EDF-APT(α = 4)` behind a
+/// [`UtilizationBound`] gate at ρ = 1, the `apt-control` stack on
+/// [`CONTROL_WINDOW`] windows, and two attempts per kernel.
+pub(crate) struct CellRun {
+    pub(crate) source: Box<dyn Source>,
+    pub(crate) config: SystemConfig,
+    pub(crate) policy: EdfApt,
+    pub(crate) gate: UtilizationBound<'static>,
+    pub(crate) stack: ControllerStack,
+    pub(crate) opts: DriverOpts,
+}
+
+impl CellRun {
+    pub(crate) fn new(cell: &TraceCell) -> CellRun {
+        let config = SystemConfig::paper_4gbps();
+        let mut faults = FaultPlan::seeded(TRACE_SEED).with_transient(cell.transient);
+        if let Some((mttf, mttr)) = cell.crashes {
+            faults = faults.with_crashes(mttf, mttr);
+        }
+        CellRun {
+            source: cell.traffic.source(
+                TRACE_JOBS,
+                TRACE_SEED,
+                DeadlineSpec::ProportionalCp { factor: 6.0 },
+            ),
+            gate: UtilizationBound::new(LookupTable::paper(), &config, 1.0),
+            config,
+            policy: EdfApt::new(PAPER_BEST_ALPHA),
+            stack: control_stack(),
+            opts: DriverOpts {
+                snapshot_interval: Some(CONTROL_WINDOW),
+                faults,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::default()
+                },
+                ..DriverOpts::default()
+            },
+        }
+    }
+}
+
+/// Run an artifact's representative traced cell (see
+/// [`crate::ArtifactSpec::trace_cell`]) and render both the Chrome JSON
+/// and the summary.
+pub fn artifact_trace(cell: &TraceCell) -> TraceExport {
     use apt_stream::AdmissionGate as _;
-    let (mut source, faults) = traced_source(id)?;
-    let lookup = LookupTable::paper();
-    let config = SystemConfig::paper_4gbps();
-    let mut policy = EdfApt::new(PAPER_BEST_ALPHA);
-    let mut gate = UtilizationBound::new(lookup, &config, 1.0);
-    let mut stack = control_stack();
-    let opts = DriverOpts {
-        snapshot_interval: Some(CONTROL_WINDOW),
-        faults,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..DriverOpts::default()
-    };
+    let mut run = CellRun::new(cell);
     let (outcome, sink) = apt_stream::simulate_source_traced(
-        source.as_mut(),
-        &config,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
+        run.source.as_mut(),
+        &run.config,
+        LookupTable::paper(),
+        &mut run.policy,
+        &run.opts,
+        &mut run.gate,
+        Some(&mut run.stack),
         Box::new(VecSink::new()),
         |_| {},
     )
     .expect("representative traced run failed");
     let events = sink.snapshot();
 
-    let names = config.procs().iter().map(|p| p.name.clone()).collect();
+    let names = run.config.procs().iter().map(|p| p.name.clone()).collect();
     let chrome = chrome_trace(&events, &ChromeConfig::with_proc_names(names));
     let stats = validate(&chrome).expect("exported timeline violates the Chrome field contract");
 
@@ -199,16 +162,16 @@ pub fn artifact_trace(id: &str) -> Option<TraceExport> {
         outcome.jobs_admitted,
         outcome.jobs_completed,
         outcome.jobs_shed,
-        Policy::alpha(&policy).unwrap_or(PAPER_BEST_ALPHA),
-        gate.utilization_bound().unwrap_or(1.0),
+        Policy::alpha(&run.policy).unwrap_or(PAPER_BEST_ALPHA),
+        run.gate.utilization_bound().unwrap_or(1.0),
     );
     summary.push_str(&render_summary(&events, TRACE_TOP_N));
 
-    Some(TraceExport {
+    TraceExport {
         chrome,
         summary,
         stats,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -221,7 +184,8 @@ mod tests {
     /// tracks from the controlled run.
     #[test]
     fn stream_saturation_trace_meets_the_acceptance_contract() {
-        let export = artifact_trace("stream-saturation").unwrap();
+        let spec = crate::artifact("stream-saturation").unwrap();
+        let export = artifact_trace(spec.trace_cell().unwrap());
         let stats = &export.stats;
         // validate() already passed inside artifact_trace; the stats it
         // measured carry the rest of the contract.
@@ -256,10 +220,10 @@ mod tests {
 
     #[test]
     fn capability_check_matches_the_resolver() {
-        assert!(artifact_has_trace("stream-saturation"));
-        assert!(artifact_has_trace("control-sweep"));
-        assert!(!artifact_has_trace("table7"));
-        assert!(artifact_trace("table7").is_none());
-        assert!(artifact_trace("nope").is_none());
+        let has_trace = |id| crate::artifact(id).unwrap().trace_cell().is_some();
+        assert!(has_trace("stream-saturation"));
+        assert!(has_trace("control-sweep"));
+        assert!(!has_trace("table7"));
+        assert!(crate::artifact("nope").is_none());
     }
 }

@@ -7,6 +7,7 @@
 //! per-job reservations on the id the [`CompletedJob`] will later carry —
 //! no parallel id sequence to keep in lockstep.
 
+use apt_base::BaseError;
 use apt_dfg::LookupTable;
 use apt_hetsim::{CompletedJob, SystemConfig};
 use apt_stream::{AdmissionGate, AdmitRequest, JobTemplate};
@@ -16,8 +17,7 @@ use std::collections::BTreeMap;
 /// from the `apt_stream::AdmissionGate` supertrait (`admit` /
 /// `on_complete`); this layer only adds the display name result tables
 /// print. Any `AdmissionPolicy` plugs straight into
-/// [`crate::simulate_source_slo`] (and, via upcast, the raw gated
-/// driver).
+/// `apt_stream::simulate_source_gated` via upcast.
 pub trait AdmissionPolicy: AdmissionGate {
     /// Display name, including parameters (e.g. `"util(ρ≤1)"`).
     fn name(&self) -> String;
@@ -64,19 +64,31 @@ pub struct UtilizationBound<'a> {
 impl<'a> UtilizationBound<'a> {
     /// A gate admitting while total density stays within
     /// `bound × processors`. `bound = 1.0` is the EDF-style full-machine
-    /// budget; lower is more conservative. Panics on a non-positive bound.
+    /// budget; lower is more conservative. Panics on a non-positive or
+    /// non-finite bound.
     pub fn new(lookup: &'a LookupTable, config: &SystemConfig, bound: f64) -> Self {
-        assert!(
-            bound > 0.0 && bound.is_finite(),
-            "utilization bound must be positive, got {bound}"
-        );
-        UtilizationBound {
+        UtilizationBound::try_new(lookup, config, bound).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`UtilizationBound::new`], returning [`BaseError::InvalidConfig`]
+    /// for a non-positive or non-finite bound instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        config: &SystemConfig,
+        bound: f64,
+    ) -> Result<Self, BaseError> {
+        if !(bound > 0.0 && bound.is_finite()) {
+            return Err(BaseError::InvalidConfig {
+                reason: format!("utilization bound must be positive and finite, got {bound}"),
+            });
+        }
+        Ok(UtilizationBound {
             lookup,
             nprocs: config.len(),
             bound,
             reserved: BTreeMap::new(),
             load: 0.0,
-        }
+        })
     }
 
     /// Density currently reserved by in-flight jobs.
@@ -250,8 +262,10 @@ impl AdmissionPolicy for FeasibilityGate<'_> {
 mod tests {
     use super::*;
     use apt_base::{SimDuration, SimTime};
+    use apt_core::{Apt, EdfApt, LlApt};
     use apt_dfg::SplitMix64;
-    use apt_stream::JobFamily;
+    use apt_hetsim::ReadyOrder;
+    use apt_stream::{simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
 
     fn job(seed: u64) -> JobTemplate {
         JobFamily::Diamond { width: 2 }
@@ -486,11 +500,226 @@ mod tests {
         assert!(feas.admit(&degraded(7, 0, None)), "deadline-free still ok");
     }
 
+    /// Every rejected bound is a typed error; a valid one builds.
+    #[test]
+    fn utilization_bound_types_a_bad_bound() {
+        let lookup = LookupTable::paper();
+        let config = apt_hetsim::SystemConfig::paper_4gbps();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = UtilizationBound::try_new(lookup, &config, bad).unwrap_err();
+            assert!(
+                matches!(&err, BaseError::InvalidConfig { reason } if reason.contains("utilization bound")),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!(
+            UtilizationBound::try_new(lookup, &config, 0.25)
+                .unwrap()
+                .bound(),
+            0.25
+        );
+    }
+
     #[test]
     #[should_panic(expected = "must be positive")]
     fn non_positive_bound_is_rejected() {
         let lookup = LookupTable::paper();
         let config = apt_hetsim::SystemConfig::paper_4gbps();
         let _ = UtilizationBound::new(lookup, &config, 0.0);
+    }
+
+    fn paper() -> (&'static SystemConfig, &'static LookupTable) {
+        use std::sync::OnceLock;
+        static CFG: OnceLock<SystemConfig> = OnceLock::new();
+        (
+            CFG.get_or_init(SystemConfig::paper_4gbps),
+            LookupTable::paper(),
+        )
+    }
+
+    /// An overloaded deadline-tagged stream: 3 j/s of diamond jobs into a
+    /// machine that sustains ~0.3 j/s.
+    fn overload_source(lookup: &LookupTable, tightness: f64) -> PoissonSource<'_> {
+        PoissonSource::new(lookup, 3.0, 250, JobFamily::Diamond { width: 2 }, 0x510)
+            .with_deadlines(DeadlineSpec::ProportionalCp { factor: tightness })
+    }
+
+    /// The acceptance-criterion behaviour: under overload, accept-all
+    /// drives the miss rate toward 1 with an unbounded backlog, while a
+    /// utilization gate sheds most arrivals and keeps the *admitted* jobs'
+    /// miss rate far lower.
+    #[test]
+    fn admission_gating_beats_accept_all_under_overload() {
+        let (config, lookup) = paper();
+        let opts = DriverOpts::default();
+
+        let mut open = AcceptAll;
+        let mut src = overload_source(lookup, 4.0);
+        let ungated = simulate_source_gated(
+            &mut src,
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut open,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(ungated.jobs_shed, 0);
+        assert_eq!(ungated.jobs_admitted, 250);
+        assert!(
+            ungated.miss_rate() > 0.8,
+            "overloaded accept-all should go almost fully tardy, got {}",
+            ungated.miss_rate()
+        );
+
+        // ρ ≤ 0.25: the density bound assumes an ideal preemptive EDF
+        // machine; on this non-preemptive heterogeneous one (kernels are
+        // never migrated, transfers serialize, and a diamond job cannot
+        // use all three processors at once) a quarter-budget keeps the
+        // admitted set comfortably schedulable.
+        let mut gate = UtilizationBound::new(lookup, config, 0.25);
+        let mut src = overload_source(lookup, 4.0);
+        let gated = simulate_source_gated(
+            &mut src,
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut gate,
+            |_| {},
+        )
+        .unwrap();
+        assert!(gated.jobs_shed > 0, "overload must shed");
+        assert_eq!(gated.jobs_admitted + gated.jobs_shed, 250);
+        assert_eq!(gated.jobs_completed, gated.jobs_admitted);
+        assert!(
+            gated.miss_rate() < ungated.miss_rate() / 2.0,
+            "gated miss rate {} not clearly below accept-all {}",
+            gated.miss_rate(),
+            ungated.miss_rate()
+        );
+        // The gate's reservations fully drained with the stream.
+        assert_eq!(gate.load(), 0.0);
+        // And the backlog peak is bounded well below the ungated one.
+        assert!(gated.peak_in_flight_jobs < ungated.peak_in_flight_jobs);
+    }
+
+    /// Below saturation both admission paths drain a deadline-tagged
+    /// stream: every offered job is admitted or shed, every admitted job
+    /// completes, and the utilization gate's reservations return to zero.
+    #[test]
+    fn both_gates_drain_a_sustainable_deadline_stream() {
+        let (config, lookup) = paper();
+        let source = || {
+            PoissonSource::new(lookup, 0.5, 2_000, JobFamily::Single, 0xBE9C_5EED)
+                .with_deadlines(DeadlineSpec::ProportionalCp { factor: 4.0 })
+        };
+        let opts = DriverOpts::default();
+
+        let mut open = AcceptAll;
+        let ungated = simulate_source_gated(
+            &mut source(),
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut open,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(ungated.jobs_admitted, 2_000);
+        assert_eq!(ungated.jobs_shed, 0);
+        assert_eq!(ungated.jobs_completed, 2_000);
+
+        let mut gate = UtilizationBound::new(lookup, config, 1.0);
+        let gated = simulate_source_gated(
+            &mut source(),
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &opts,
+            &mut gate,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(gated.jobs_admitted + gated.jobs_shed, 2_000);
+        assert_eq!(gated.jobs_completed, gated.jobs_admitted);
+        assert!(gated.jobs_admitted > 0);
+        assert_eq!(gate.load(), 0.0);
+    }
+
+    #[test]
+    fn feasibility_gate_shed_rate_tracks_tightness() {
+        let (config, lookup) = paper();
+        let opts = DriverOpts::default();
+        let run = |tightness: f64| {
+            let mut gate = FeasibilityGate::new(lookup, config);
+            let mut src = overload_source(lookup, tightness);
+            simulate_source_gated(
+                &mut src,
+                config,
+                lookup,
+                &mut LlApt::new(4.0),
+                &opts,
+                &mut gate,
+                |_| {},
+            )
+            .unwrap()
+        };
+        let tight = run(1.5);
+        let loose = run(16.0);
+        assert!(tight.jobs_shed > 0);
+        assert!(
+            tight.shed_rate() > loose.shed_rate(),
+            "tighter deadlines must shed more: {} vs {}",
+            tight.shed_rate(),
+            loose.shed_rate()
+        );
+    }
+
+    /// Engine-level EDF ready order + plain APT ≡ FCFS order + EDF-APT:
+    /// the two implementations of "earliest deadline first" must agree
+    /// schedule for schedule.
+    #[test]
+    fn engine_edf_order_equals_self_ordering_edf_apt() {
+        let (config, lookup) = paper();
+        let make_source = || {
+            PoissonSource::new(lookup, 0.5, 120, JobFamily::Chain { len: 2 }, 77).with_deadlines(
+                DeadlineSpec::Uniform {
+                    lo: SimDuration::from_ms(500),
+                    hi: SimDuration::from_ms(60_000),
+                },
+            )
+        };
+        let mut via_engine_order = Vec::new();
+        simulate_source_gated(
+            &mut make_source(),
+            config,
+            lookup,
+            &mut Apt::new(4.0),
+            &DriverOpts {
+                ready_order: ReadyOrder::EarliestDeadline,
+                ..DriverOpts::default()
+            },
+            &mut AcceptAll,
+            |job| via_engine_order.push((job.job, job.records.clone())),
+        )
+        .unwrap();
+        let mut via_policy_order = Vec::new();
+        simulate_source_gated(
+            &mut make_source(),
+            config,
+            lookup,
+            &mut EdfApt::new(4.0),
+            &DriverOpts::default(),
+            &mut AcceptAll,
+            |job| via_policy_order.push((job.job, job.records.clone())),
+        )
+        .unwrap();
+        assert_eq!(
+            via_engine_order, via_policy_order,
+            "the two EDF realizations diverged"
+        );
     }
 }

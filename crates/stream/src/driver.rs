@@ -13,6 +13,19 @@
 //! `examples/million_jobs.rs` and the bounded-arena assertions in
 //! `tests/`).
 //!
+//! Five public entry points share one private driver body, each adding
+//! one layer to the one before:
+//!
+//! * [`simulate_source`] — the plain run;
+//! * [`simulate_source_gated`] — an [`AdmissionGate`] in the admit path
+//!   plus a per-job observer ([`AdmitAll`] for an ungated, observed run);
+//! * [`simulate_source_controlled`] — an `apt-control` [`Controller`] on
+//!   the metrics windows;
+//! * [`simulate_source_traced`] — an armed [`TraceSink`], controller
+//!   optional;
+//! * [`simulate_source_telemetered`] — an armed [`StreamTelemetry`],
+//!   controller and sink optional.
+//!
 //! `simulate_stream` semantics are preserved exactly: a finite source
 //! replayed through this driver produces the same schedule, record for
 //! record, as the closed-world engine over the materialized workload (the
@@ -278,8 +291,8 @@ impl StreamOutcome {
 
 /// Run `policy` over the arrivals of `source` on `config`'s machine. See
 /// the module docs. Fails on starvation (the policy stops scheduling while
-/// jobs are in flight), on a source yielding decreasing arrival times, or
-/// on a static policy.
+/// jobs are in flight), on a source yielding decreasing arrival times, on
+/// a static policy, or on a zero snapshot interval.
 pub fn simulate_source(
     source: &mut dyn Source,
     config: &SystemConfig,
@@ -287,30 +300,19 @@ pub fn simulate_source(
     policy: &mut dyn Policy,
     opts: &DriverOpts,
 ) -> Result<StreamOutcome, BaseError> {
-    simulate_source_observed(source, config, lookup, policy, opts, |_| {})
+    simulate_source_gated(source, config, lookup, policy, opts, &mut AdmitAll, |_| {})
 }
 
-/// [`simulate_source`] with a per-job observer: `observe` is called once
-/// for every [`CompletedJob`], in completion order, before its storage is
-/// recycled — the hook tests and exporters use to stream records out
-/// without the driver retaining them.
-pub fn simulate_source_observed(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    simulate_source_gated(source, config, lookup, policy, opts, &mut AdmitAll, observe)
-}
-
-/// [`simulate_source_observed`] with an [`AdmissionGate`] in the admit
-/// path: each due job is offered to `gate` *before* entering the engine;
-/// rejected jobs are shed (counted, never admitted) and the gate hears
-/// about every completion so it can release reserved budget. This is how
-/// `apt-slo`'s admission policies bound overload instead of letting the
-/// backlog grow without bound.
+/// [`simulate_source`] with an [`AdmissionGate`] in the admit path and a
+/// per-job observer. Each due job is offered to `gate` *before* entering
+/// the engine; rejected jobs are shed (counted, never admitted) and the
+/// gate hears about every completion so it can release reserved budget.
+/// This is how `apt-slo`'s admission policies bound overload instead of
+/// letting the backlog grow without bound; pass [`AdmitAll`] for an
+/// ungated run. `observe` is called once for every [`CompletedJob`], in
+/// completion order and after the gate, before its storage is recycled —
+/// the hook tests and exporters use to stream records out without the
+/// driver retaining them.
 pub fn simulate_source_gated(
     source: &mut dyn Source,
     config: &SystemConfig,
@@ -443,8 +445,10 @@ pub fn simulate_source_telemetered(
     Ok((outcome, sink))
 }
 
-/// The one driver body every public entry point forwards to; it also
-/// checks once that a controlled run has metrics windows.
+/// The one driver body every public entry point forwards to. It checks
+/// the options once (a positive snapshot interval; windows for a
+/// controlled run) and, in debug builds, that every job is accounted for
+/// at stream end.
 #[allow(clippy::too_many_arguments)]
 fn simulate_source_inner(
     source: &mut dyn Source,
@@ -458,6 +462,11 @@ fn simulate_source_inner(
     mut tel: Option<&mut StreamTelemetry>,
     mut observe: impl FnMut(&CompletedJob),
 ) -> Result<StreamOutcome, BaseError> {
+    if opts.snapshot_interval.is_some_and(|i| i.is_zero()) {
+        return Err(BaseError::InvalidConfig {
+            reason: "DriverOpts::snapshot_interval must be positive".into(),
+        });
+    }
     if controller.is_some() && opts.snapshot_interval.is_none() {
         return Err(BaseError::InvalidSystem {
             reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
@@ -498,6 +507,8 @@ fn simulate_source_inner(
     // pays one local bool per iteration, not a method call.
     let heartbeat_armed = tel.as_deref().is_some_and(StreamTelemetry::heartbeat_armed);
     let mut pending = source.next_job();
+    // Jobs taken from the source, for the conservation check at stream end.
+    let mut pulled = u64::from(pending.is_some());
     let mut last_arrival = SimTime::ZERO;
     let mut admitted = 0u64;
     let mut shed = 0u64;
@@ -577,6 +588,7 @@ fn simulate_source_inner(
                     });
                 }
                 *pending = source.next_job();
+                pulled += u64::from(pending.is_some());
                 continue;
             }
             // apt-lint: allow(hot-path-panic, the enclosing loop only runs while pending is
@@ -618,6 +630,7 @@ fn simulate_source_inner(
                 }
             }
             *pending = source.next_job();
+            pulled += u64::from(pending.is_some());
         }
         Ok(())
     };
@@ -902,6 +915,19 @@ fn simulate_source_inner(
             metrics.miss_rate(),
         );
     }
+    // Conservation: every job taken from the source was admitted or shed
+    // (a latched run stops with one arrival pulled but never offered), and
+    // every admitted job completed or failed.
+    debug_assert_eq!(
+        pulled - u64::from(pending.is_some()),
+        admitted + shed,
+        "offered jobs must be admitted or shed"
+    );
+    debug_assert_eq!(
+        admitted,
+        completed + failed,
+        "admitted jobs must complete or fail"
+    );
     let (p50, p90, p99) = metrics.latency_quantiles_ms();
     let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();
     Ok(StreamOutcome {
@@ -1090,12 +1116,13 @@ mod tests {
         let (config, lookup) = paper();
         let mut source = PoissonSource::new(lookup, 5.0, 60, JobFamily::Chain { len: 2 }, 5);
         let mut seen = Vec::new();
-        let outcome = simulate_source_observed(
+        let outcome = simulate_source_gated(
             &mut source,
             config,
             lookup,
             &mut FirstFit,
             &DriverOpts::default(),
+            &mut AdmitAll,
             |job| seen.push((job.job, job.finish())),
         )
         .unwrap();
@@ -1511,66 +1538,100 @@ mod tests {
     }
 
     /// Windows are the controller's clock: a controlled run without a
-    /// snapshot interval is a typed error, not a silently inert loop.
+    /// snapshot interval is a typed error, not a silently inert loop. A
+    /// zero interval is a typed error on every entry point, not a panic
+    /// inside the metrics aggregator.
     #[test]
     fn controlled_run_requires_a_snapshot_interval() {
         use apt_control::InertController;
-        // Every entry point that takes a controller rejects a run without
-        // metrics windows.
-        type Entry = fn(&mut PoissonSource, &mut dyn Controller) -> Result<(), BaseError>;
-        let controlled: Entry = |source, controller| {
+        // `armed` hands an inert controller to the entry points that take
+        // an optional one; `simulate_source_controlled` always has one.
+        type Entry = fn(&mut PoissonSource, &DriverOpts, bool) -> Result<(), BaseError>;
+        let plain: Entry = |source, opts, _| {
+            let (config, lookup) = paper();
+            simulate_source(source, config, lookup, &mut apt_policies::Met::new(), opts).map(drop)
+        };
+        let gated: Entry = |source, opts, _| {
+            let (config, lookup) = paper();
+            let policy = &mut apt_policies::Met::new();
+            simulate_source_gated(source, config, lookup, policy, opts, &mut AdmitAll, |_| {})
+                .map(drop)
+        };
+        let controlled: Entry = |source, opts, _| {
             let (config, lookup) = paper();
             simulate_source_controlled(
                 source,
                 config,
                 lookup,
                 &mut apt_policies::Met::new(),
-                &DriverOpts::default(),
+                opts,
                 &mut AdmitAll,
-                controller,
+                &mut InertController,
                 |_| {},
             )
             .map(drop)
         };
-        let traced: Entry = |source, controller| {
+        let traced: Entry = |source, opts, armed| {
             let (config, lookup) = paper();
             simulate_source_traced(
                 source,
                 config,
                 lookup,
                 &mut apt_policies::Met::new(),
-                &DriverOpts::default(),
+                opts,
                 &mut AdmitAll,
-                Some(controller),
+                armed.then_some(&mut InertController as &mut dyn Controller),
                 Box::new(apt_trace::NullSink),
                 |_| {},
             )
             .map(drop)
         };
-        let telemetered: Entry = |source, controller| {
+        let telemetered: Entry = |source, opts, armed| {
             let (config, lookup) = paper();
             simulate_source_telemetered(
                 source,
                 config,
                 lookup,
                 &mut apt_policies::Met::new(),
-                &DriverOpts::default(),
+                opts,
                 &mut AdmitAll,
-                Some(controller),
+                armed.then_some(&mut InertController as &mut dyn Controller),
                 None,
                 &mut StreamTelemetry::new(),
                 |_| {},
             )
             .map(drop)
         };
+        let run = |entry: Entry, interval: Option<SimDuration>, armed: bool| {
+            let mut source = PoissonSource::new(paper().1, 1.0, 3, JobFamily::Single, 1);
+            let opts = DriverOpts {
+                snapshot_interval: interval,
+                ..DriverOpts::default()
+            };
+            entry(&mut source, &opts, armed).unwrap_err()
+        };
+        // Every entry point that takes a controller rejects a run without
+        // metrics windows.
         for (name, entry) in [
             ("controlled", controlled),
             ("traced", traced),
             ("telemetered", telemetered),
         ] {
-            let mut source = PoissonSource::new(paper().1, 1.0, 3, JobFamily::Single, 1);
-            let err = entry(&mut source, &mut InertController).unwrap_err();
+            let err = run(entry, None, true);
             assert!(matches!(err, BaseError::InvalidSystem { .. }), "{name}");
+        }
+        for (name, entry) in [
+            ("plain", plain),
+            ("gated", gated),
+            ("controlled", controlled),
+            ("traced", traced),
+            ("telemetered", telemetered),
+        ] {
+            let err = run(entry, Some(SimDuration::ZERO), false);
+            assert!(
+                matches!(err, BaseError::InvalidConfig { .. }),
+                "{name}: {err}"
+            );
         }
     }
 

@@ -20,7 +20,12 @@
 //!   retires completed jobs into streaming metrics, and sustains
 //!   million-job runs with memory bounded by the jobs in flight. The gated
 //!   form ([`simulate_source_gated`]) puts an [`AdmissionGate`] in the
-//!   admit path so overload *sheds* jobs instead of queueing unboundedly.
+//!   admit path so overload *sheds* jobs instead of queueing unboundedly,
+//!   and streams every completed job to an observer. The controlled,
+//!   traced and telemetered forms ([`simulate_source_controlled`],
+//!   [`simulate_source_traced`], [`simulate_source_telemetered`]) add a
+//!   closed control loop, an event trace and live telemetry; all five run
+//!   the same driver body.
 //! * [`job`] — job templates and the DAG families they instantiate.
 //! * [`deadline`] — per-job SLOs: [`DeadlineSpec`] derives relative
 //!   deadlines (fixed, proportional to each job's minimum critical path,
@@ -97,7 +102,7 @@ pub mod telemetry;
 
 pub use deadline::DeadlineSpec;
 pub use driver::{
-    simulate_source, simulate_source_controlled, simulate_source_gated, simulate_source_observed,
+    simulate_source, simulate_source_controlled, simulate_source_gated,
     simulate_source_telemetered, simulate_source_traced, AdmissionGate, AdmitAll, AdmitRequest,
     DriverOpts, StreamOutcome,
 };

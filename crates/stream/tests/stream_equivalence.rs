@@ -13,8 +13,8 @@
 use apt_core::prelude::*;
 use apt_hetsim::TaskRecord;
 use apt_stream::{
-    simulate_source, simulate_source_observed, DriverOpts, JobFamily, JobTemplate, PoissonSource,
-    TraceSource,
+    simulate_source, simulate_source_gated, AdmitAll, DriverOpts, JobFamily, JobTemplate,
+    PoissonSource, TraceSource,
 };
 use proptest::prelude::*;
 
@@ -107,12 +107,13 @@ fn assert_stream_equivalent(
     let mut open_records: Vec<TaskRecord> = Vec::new();
     let mut open_policy = make();
     let mut source = TraceSource::new(jobs.to_vec());
-    let outcome = simulate_source_observed(
+    let outcome = simulate_source_gated(
         &mut source,
         &config,
         lookup,
         open_policy.as_mut(),
         &DriverOpts::default(),
+        &mut AdmitAll,
         |done| {
             let base = offsets[done.job.0 as usize];
             for rec in &done.records {
@@ -210,12 +211,13 @@ fn assert_configs_equivalent(
         let mut records: Vec<TaskRecord> = Vec::new();
         let mut policy = make();
         let mut source = TraceSource::new(jobs.to_vec());
-        let outcome = simulate_source_observed(
+        let outcome = simulate_source_gated(
             &mut source,
             config,
             lookup,
             policy.as_mut(),
             &DriverOpts::default(),
+            &mut AdmitAll,
             |done| records.extend(done.records.iter().copied()),
         )
         .unwrap_or_else(|e| panic!("{tag}: run failed: {e}"));
@@ -279,12 +281,13 @@ fn clustered_topology_streams_match_the_closed_engine() {
         let mut open_records: Vec<TaskRecord> = Vec::new();
         let mut policy = make();
         let mut source = TraceSource::new(jobs.to_vec());
-        let outcome = simulate_source_observed(
+        let outcome = simulate_source_gated(
             &mut source,
             &config,
             lookup,
             policy.as_mut(),
             &DriverOpts::default(),
+            &mut AdmitAll,
             |done| {
                 let base = offsets[done.job.0 as usize];
                 for rec in &done.records {
@@ -408,7 +411,7 @@ fn inert_fault_plans_stream_byte_identically() {
             let mut records: Vec<TaskRecord> = Vec::new();
             let mut source = TraceSource::new(jobs.clone());
             let mut policy = make();
-            let outcome = simulate_source_observed(
+            let outcome = simulate_source_gated(
                 &mut source,
                 &config,
                 lookup,
@@ -418,6 +421,7 @@ fn inert_fault_plans_stream_byte_identically() {
                     faults,
                     ..DriverOpts::default()
                 },
+                &mut AdmitAll,
                 |done| records.extend(done.records.iter().copied()),
             )
             .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
@@ -518,12 +522,13 @@ fn inert_controller_streams_byte_identically_to_controller_off() {
         let mut recs_off: Vec<TaskRecord> = Vec::new();
         let mut source = TraceSource::new(jobs.clone());
         let mut policy = make();
-        let off = simulate_source_observed(
+        let off = simulate_source_gated(
             &mut source,
             &config,
             lookup,
             policy.as_mut(),
             &opts,
+            &mut AdmitAll,
             |done| recs_off.extend(done.records.iter().copied()),
         )
         .unwrap_or_else(|e| panic!("{name}: controller-off run failed: {e}"));
