@@ -135,6 +135,15 @@ pub fn fault_point(
     rate: f64,
     mttf: Option<SimDuration>,
 ) -> StreamOutcome {
+    fault_cell(make, rate, &fault_opts(mttf))
+}
+
+/// The sweep's stream at offered λ under `opts`.
+fn fault_cell(
+    make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
+    rate: f64,
+    opts: &DriverOpts,
+) -> StreamOutcome {
     let mut policy = make();
     let mut source = Traffic::Poisson { rate }.source(
         FAULT_JOBS,
@@ -148,7 +157,7 @@ pub fn fault_point(
         &SystemConfig::paper_4gbps(),
         LookupTable::paper(),
         policy.as_mut(),
-        &fault_opts(mttf),
+        opts,
     )
     .expect("fault sweep point failed")
 }
@@ -267,7 +276,6 @@ fn render_fault_csv(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::streaming::SWEEP_WINDOW;
-    use apt_stream::{JobFamily, PoissonSource};
 
     #[test]
     fn roster_covers_the_advertised_contrast() {
@@ -295,34 +303,25 @@ mod tests {
     fn disabled_faults_match_the_plain_driver() {
         let factories = fault_policy_factories(PAPER_BEST_ALPHA);
         let (_, apt) = &factories[0];
-        let run = |opts: DriverOpts| {
-            let lookup = LookupTable::paper();
-            let mut policy = apt();
-            let mut source = PoissonSource::new(
-                lookup,
-                0.15,
-                FAULT_JOBS,
-                JobFamily::Diamond { width: 2 },
-                FAULT_SEED,
-            )
-            .with_deadlines(DeadlineSpec::ProportionalCp {
-                factor: FAULT_TIGHTNESS,
-            });
-            let config = SystemConfig::paper_4gbps();
-            apt_stream::simulate_source(&mut source, &config, lookup, policy.as_mut(), &opts)
-                .unwrap()
-        };
         let window = Some(SWEEP_WINDOW);
-        let windowed = run(DriverOpts {
-            snapshot_interval: window,
-            ..fault_opts(None)
-        });
-        let plain = run(DriverOpts {
-            snapshot_interval: window,
-            max_in_flight_jobs: Some(FAULT_CAP),
-            shed_when_full: true,
-            ..DriverOpts::default()
-        });
+        let windowed = fault_cell(
+            apt.as_ref(),
+            0.15,
+            &DriverOpts {
+                snapshot_interval: window,
+                ..fault_opts(None)
+            },
+        );
+        let plain = fault_cell(
+            apt.as_ref(),
+            0.15,
+            &DriverOpts {
+                snapshot_interval: window,
+                max_in_flight_jobs: Some(FAULT_CAP),
+                shed_when_full: true,
+                ..DriverOpts::default()
+            },
+        );
         // The sweep's own (windowless) cell.
         let row = fault_point(apt.as_ref(), 0.15, None);
         assert_eq!(row.end, plain.end);
@@ -372,6 +371,29 @@ mod tests {
         );
         assert!(crashy.faults.orphaned > 0, "no kernel was ever orphaned");
         assert!(crashy.miss_rate() >= clean.miss_rate());
+    }
+
+    /// Crashes rewind the busy time pre-credited to killed kernels, so a
+    /// processor's cumulative busy time can fall across a window boundary.
+    /// The crashy cells, windowed, still drain, and every window reports a
+    /// finite, non-negative utilization (a wrapped difference once made
+    /// this panic in debug builds).
+    #[test]
+    fn windowed_crashy_cells_report_sane_utilization() {
+        let opts = DriverOpts {
+            snapshot_interval: Some(SWEEP_WINDOW),
+            ..fault_opts(Some(SimDuration::from_ms(30_000)))
+        };
+        for (name, make) in &fault_policy_factories(PAPER_BEST_ALPHA) {
+            let o = fault_cell(make.as_ref(), 0.15, &opts);
+            assert!(o.faults.crashes > 0, "{name}: MTTF 30s never crashed");
+            assert!(!o.snapshots.is_empty(), "{name}: no windows closed");
+            for s in &o.snapshots {
+                for &u in &s.utilization {
+                    assert!(u.is_finite() && u >= 0.0, "{name} at {}: {u}", s.end);
+                }
+            }
+        }
     }
 
     /// The CSV carries the ISSUE-mandated per-cell columns (goodput,

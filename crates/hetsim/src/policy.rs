@@ -105,8 +105,8 @@ impl Assignment {
 ///
 /// Reuse rules for implementors:
 ///
-/// * `decide` receives the buffer **already cleared** — only [`push`]
-///   (`AssignmentBuf::push`) into it; never retain state in it across calls
+/// * `decide` receives the buffer **already cleared** — only
+///   [`AssignmentBuf::push`] into it; never retain state in it across calls
 ///   and never assume a particular capacity.
 /// * Push order is application order: the engine applies assignments
 ///   front-to-back, erroring on the first invalid one.

@@ -16,10 +16,11 @@
 //! * [`quality`] — makespan lower bounds, schedule-length ratio, speedup.
 //! * [`energy`] — per-category power model and schedule energy integration
 //!   (the paper's power-efficiency motivation, quantified).
-//! * [`online`] — streaming metrics for open-system runs: P² latency
-//!   quantiles, sliding-window throughput/utilization, and queue-depth
-//!   tracking in O(1) memory per metric (the `apt-stream` driver's
-//!   reporting layer).
+//! * [`online`] — [`StreamSnapshot`], the per-window record of an
+//!   open-system run (throughput, latency/tardiness quantiles,
+//!   utilization, queue depth, SLO/failure/admission counters). The
+//!   `apt-stream` driver aggregates and emits it; CSV export and
+//!   `apt-control` consume it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +36,7 @@ pub mod table;
 
 pub use energy::{energy_report, EnergyReport, PowerModel};
 pub use improvement::{better_solution_count, improvement_percent, second_best};
-pub use online::{OnlineMetrics, P2Quantile, StreamSnapshot};
+pub use online::StreamSnapshot;
 pub use quality::{quality_report, QualityReport};
 pub use summary::RunSummary;
 pub use table::TextTable;

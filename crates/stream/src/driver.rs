@@ -3,8 +3,15 @@
 //! [`simulate_source`] pulls arrivals from a [`Source`] *just-in-time* —
 //! each job is admitted into the [`OpenEngine`] only once the simulation
 //! clock is about to reach its arrival — steps the engine event by event,
-//! retires completed jobs into the [`OnlineMetrics`] aggregator (and an
-//! optional per-job observer), and returns a compact [`StreamOutcome`].
+//! retires completed jobs into one online aggregator (and an optional
+//! per-job observer), and returns a compact [`StreamOutcome`].
+//!
+//! The aggregator is the run's single source of truth: it alone counts
+//! admitted, shed, completed and failed jobs and retired kernels, and it
+//! keeps job latency and tardiness in one log-bucket histogram each
+//! (relative error ≤ 1%). The outcome, the [`StreamSnapshot`]s, the
+//! `--progress` heartbeat and an armed [`StreamTelemetry`] all read that
+//! one aggregator, so none of them can report a different count or p99.
 //!
 //! Memory is bounded by the jobs in flight plus one pending arrival: the
 //! arrival vector is never materialized, retired jobs free their arena
@@ -33,6 +40,7 @@
 //! byte).
 
 use crate::job::JobTemplate;
+use crate::online::{quantiles, OnlineMetrics};
 use crate::source::Source;
 use crate::telemetry::StreamTelemetry;
 use apt_base::{BaseError, SimDuration, SimTime};
@@ -40,9 +48,9 @@ use apt_control::{ControlAction, ControlEvent, Controller};
 use apt_dfg::LookupTable;
 use apt_hetsim::{
     CompletedJob, FaultPlan, FaultTotals, OpenEngine, Policy, ProcStats, ReadyOrder, RetryPolicy,
-    SystemConfig, TaskRecord,
+    SystemConfig,
 };
-use apt_metrics::{OnlineMetrics, StreamSnapshot};
+use apt_metrics::StreamSnapshot;
 use apt_trace::{ControlKind, CounterKind, ShedReason, TraceEvent, TraceSink};
 
 /// Driver knobs.
@@ -172,7 +180,9 @@ pub struct StreamOutcome {
     pub goodput_jps: f64,
     /// Mean end-to-end job latency (arrival → last kernel finish), ms.
     pub mean_latency_ms: f64,
-    /// Streaming quantile estimates of job latency, ms.
+    /// Median job latency, ms, from the run's latency histogram (within
+    /// 1% of the exact nearest-rank sample; the last snapshot and the
+    /// Prometheus `job_latency_ms` histogram report the same value).
     pub latency_p50_ms: f64,
     /// 90th percentile job latency, ms.
     pub latency_p90_ms: f64,
@@ -402,10 +412,11 @@ pub fn simulate_source_traced(
 }
 
 /// [`simulate_source_traced`] (with the sink optional) under an armed
-/// [`StreamTelemetry`]: the driver publishes admissions, sheds,
-/// completions, latency/tardiness histograms and per-window operating
-/// points (live α/ρ, backlog, miss rate, availability) into the
-/// telemetry registry, emits one JSONL line per closed metrics window,
+/// [`StreamTelemetry`]: the driver publishes per-window operating points
+/// (live α/ρ, backlog, miss rate, availability) into the telemetry
+/// registry as windows close and, once at stream end, the run's job and
+/// kernel counters and latency/tardiness histograms from its aggregator;
+/// it emits one JSONL line per closed metrics window,
 /// ticks the `--progress` heartbeat when one is armed, and — when the
 /// `self-profile` feature is compiled in and
 /// [`StreamTelemetry::with_engine_profile`] was requested — arms the
@@ -510,11 +521,6 @@ fn simulate_source_inner(
     // Jobs taken from the source, for the conservation check at stream end.
     let mut pulled = u64::from(pending.is_some());
     let mut last_arrival = SimTime::ZERO;
-    let mut admitted = 0u64;
-    let mut shed = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut kernels = 0u64;
     let mut saturated = false;
     let mut done: Vec<CompletedJob> = Vec::new();
     let mut control_log: Vec<ControlEvent> = Vec::new();
@@ -535,10 +541,7 @@ fn simulate_source_inner(
                          gate: &mut dyn AdmissionGate,
                          saturated: &mut bool,
                          last_arrival: &mut SimTime,
-                         admitted: &mut u64,
-                         shed: &mut u64,
                          metrics: &mut OnlineMetrics,
-                         tel: &mut Option<&mut StreamTelemetry>,
                          seed: bool|
      -> Result<(), BaseError> {
         // The latch (default) stops admission permanently once tripped; in
@@ -576,11 +579,7 @@ fn simulate_source_inner(
                 // Some)
                 let (at, _) = pending.take().expect("checked above");
                 *last_arrival = at;
-                *shed += 1;
                 metrics.observe_job_shed();
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_shed();
-                }
                 if let Some(t) = engine.tracer_mut() {
                     t.record(TraceEvent::JobShed {
                         at,
@@ -610,18 +609,10 @@ fn simulate_source_inner(
             *last_arrival = at;
             if accept {
                 engine.admit_with_deadline(job.kernels(), job.edges(), at, deadline)?;
-                *admitted += 1;
                 metrics.observe_job_admitted();
                 metrics.observe_depth(engine.now(), engine.in_flight_jobs());
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_admit();
-                }
             } else {
-                *shed += 1;
                 metrics.observe_job_shed();
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_shed();
-                }
                 if let Some(t) = engine.tracer_mut() {
                     t.record(TraceEvent::JobShed {
                         at,
@@ -644,10 +635,7 @@ fn simulate_source_inner(
         gate,
         &mut saturated,
         &mut last_arrival,
-        &mut admitted,
-        &mut shed,
         &mut metrics,
-        &mut tel,
         true,
     )?;
 
@@ -661,10 +649,7 @@ fn simulate_source_inner(
             gate,
             &mut saturated,
             &mut last_arrival,
-            &mut admitted,
-            &mut shed,
             &mut metrics,
-            &mut tel,
             false,
         )?;
         let advanced = engine.advance()?;
@@ -674,31 +659,11 @@ fn simulate_source_inner(
         engine.drain_completed(&mut done);
         if !done.is_empty() {
             for job in &done {
-                kernels += job.records.len() as u64;
-                if job.failed {
-                    // A shed job has no meaningful completion: it counts
-                    // toward throughput (it left the system) but never
-                    // toward goodput, latency, or the SLO estimators. The
-                    // gate still hears it, releasing its reservation.
-                    failed += 1;
-                    metrics.observe_job_failed();
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.on_job_failed(job);
-                    }
-                } else {
-                    completed += 1;
-                    let finish = job.finish();
-                    let latency = finish.saturating_since(job.arrival);
-                    let tardiness = job.deadline.map(|d| finish.saturating_since(d));
-                    let lambda: SimDuration = job.records.iter().map(TaskRecord::lambda).sum();
-                    metrics.observe_job(latency, lambda);
-                    if let Some(tardiness) = tardiness {
-                        metrics.observe_tardiness(tardiness);
-                    }
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.on_job_done(job, latency, tardiness);
-                    }
-                }
+                // A failed job counts toward throughput (it left the
+                // system) but never toward goodput, latency, or the SLO
+                // histograms; the gate still hears it, releasing its
+                // reservation.
+                metrics.retire(job);
                 gate.on_complete(job);
                 observe(job);
             }
@@ -724,9 +689,8 @@ fn simulate_source_inner(
                 // due — the common case is one branch per loop iteration.
                 if t.progress_due() {
                     t.emit_progress(
-                        completed + failed,
+                        &metrics,
                         engine.in_flight_jobs(),
-                        metrics.miss_rate(),
                         policy.alpha(),
                         gate.utilization_bound(),
                         engine.now().as_secs_f64(),
@@ -908,34 +872,30 @@ fn simulate_source_inner(
         if let Some(s) = sink.as_deref() {
             t.on_trace_sink(s.recorded(), s.dropped());
         }
-        t.on_end(
-            end.as_secs_f64(),
-            completed + failed,
-            engine.in_flight_jobs(),
-            metrics.miss_rate(),
-        );
+        t.on_end(&metrics, end.as_secs_f64(), engine.in_flight_jobs());
     }
     // Conservation: every job taken from the source was admitted or shed
     // (a latched run stops with one arrival pulled but never offered), and
     // every admitted job completed or failed.
+    let (completed, failed) = (metrics.completed(), metrics.failed());
+    let [p50, p90, p99] = quantiles(metrics.latency(), [0.50, 0.90, 0.99]);
+    let [tardiness_p50_ms, tardiness_p99_ms] = quantiles(metrics.tardiness(), [0.50, 0.99]);
     debug_assert_eq!(
         pulled - u64::from(pending.is_some()),
-        admitted + shed,
+        metrics.admitted() + metrics.shed(),
         "offered jobs must be admitted or shed"
     );
     debug_assert_eq!(
-        admitted,
+        metrics.admitted(),
         completed + failed,
         "admitted jobs must complete or fail"
     );
-    let (p50, p90, p99) = metrics.latency_quantiles_ms();
-    let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();
     Ok(StreamOutcome {
         policy: policy.name(),
-        jobs_admitted: admitted,
+        jobs_admitted: metrics.admitted(),
         jobs_completed: completed,
         jobs_failed: failed,
-        kernels_completed: kernels,
+        kernels_completed: metrics.kernels(),
         end,
         // A stream completing entirely at t = 0 has no meaningful rate; the
         // old `max(f64::MIN_POSITIVE)` clamp reported ~1e308 jobs/s for it.
@@ -958,14 +918,14 @@ fn simulate_source_inner(
         peak_in_flight_kernels: engine.peak_in_flight_kernels(),
         arena_slots: engine.arena_slots(),
         proc_stats: engine.proc_stats(),
-        snapshots: metrics.snapshots().to_vec(),
         saturated,
-        jobs_shed: shed,
-        deadline_jobs: metrics.deadline_jobs(),
+        jobs_shed: metrics.shed(),
+        deadline_jobs: metrics.tardiness().count(),
         deadline_misses: metrics.deadline_misses(),
         tardiness_p50_ms,
         tardiness_p99_ms,
         mean_tardiness_ms: metrics.mean_tardiness_ms(),
+        snapshots: metrics.take_snapshots(),
         faults: engine.fault_totals(),
         control_log,
     })

@@ -33,9 +33,9 @@
 //!   perturbs arrivals. The driver converts them to absolute deadlines on
 //!   admission; the engine stamps every kernel slot (policies read them
 //!   via `SimView::deadline`, and `ReadyOrder::EarliestDeadline` makes
-//!   the ready set iterate EDF); retirement feeds miss-rate and tardiness
-//!   quantiles in `apt-metrics`. The admission gates and SLO evaluation
-//!   live one layer up in `apt-slo`.
+//!   the ready set iterate EDF); retirement feeds the miss counts and the
+//!   tardiness histogram the outcome and snapshots report. The admission
+//!   gates and SLO evaluation live one layer up in `apt-slo`.
 //!
 //! The streaming path is *semantics-preserving*: a finite source replayed
 //! through the driver schedules byte-for-byte like
@@ -95,6 +95,7 @@
 pub mod deadline;
 pub mod driver;
 pub mod job;
+mod online;
 #[cfg(test)]
 mod shard_ready;
 pub mod source;

@@ -6,20 +6,18 @@
 //! Telemetry is observational by contract: an armed [`StreamTelemetry`]
 //! never changes a schedule — the telemetered equivalence test pins a
 //! telemetered run's [`crate::StreamOutcome`] byte-identical to the bare
-//! run's — and the registry hot path is a handful of adds per job
+//! run's. It keeps no per-job state of its own: the gauges and JSONL lines
+//! are written as windows close, and the job counters and histograms are
+//! published once at stream end from the driver's aggregator, so the
+//! registry reports exactly the counts and quantiles of the outcome
 //! (`perfbench`'s `stream_armed` workload runs it armed).
 
-use apt_hetsim::CompletedJob;
+use crate::online::{OnlineMetrics, HIST_GAMMA};
 use apt_metrics::StreamSnapshot;
 use apt_telemetry::{
     render_prometheus, CounterId, GaugeId, Heartbeat, HistId, PhaseReport, Registry,
 };
 use std::fmt::Write as _;
-
-/// Relative error bound for the latency/tardiness histograms: 1% —
-/// comfortably inside the agreement band of the P² estimators the
-/// snapshot quantiles use.
-const HIST_GAMMA: f64 = 0.01;
 
 /// The streaming driver's telemetry surface. Construct one, hand it to
 /// [`crate::simulate_source_telemetered`], then read back
@@ -222,44 +220,6 @@ impl StreamTelemetry {
         self.phase_report = Some(report);
     }
 
-    #[inline]
-    pub(crate) fn on_admit(&mut self) {
-        self.reg.inc(self.c_admitted);
-    }
-
-    #[inline]
-    pub(crate) fn on_shed(&mut self) {
-        self.reg.inc(self.c_shed);
-    }
-
-    /// An admitted job that exhausted its retry budget and left failed.
-    #[inline]
-    pub(crate) fn on_job_failed(&mut self, job: &CompletedJob) {
-        self.reg.add(self.c_kernels, job.records.len() as u64);
-        self.reg.inc(self.c_failed);
-    }
-
-    /// A successfully completed job, with the latency and tardiness the
-    /// driver already derived for its own aggregates — the hook must not
-    /// recompute them (this is the registry's per-job hot path).
-    #[inline]
-    pub(crate) fn on_job_done(
-        &mut self,
-        job: &CompletedJob,
-        latency: apt_base::SimDuration,
-        tardiness: Option<apt_base::SimDuration>,
-    ) {
-        self.reg.add(self.c_kernels, job.records.len() as u64);
-        self.reg.inc(self.c_completed);
-        self.reg.observe(self.h_latency, latency.as_ms_f64());
-        if let Some(t) = tardiness {
-            self.reg.observe(self.h_tardiness, t.as_ms_f64());
-            if !t.is_zero() {
-                self.reg.inc(self.c_misses);
-            }
-        }
-    }
-
     pub(crate) fn on_window(
         &mut self,
         snap: &StreamSnapshot,
@@ -326,14 +286,15 @@ impl StreamTelemetry {
 
     pub(crate) fn emit_progress(
         &mut self,
-        jobs_done: u64,
+        metrics: &OnlineMetrics,
         in_flight: usize,
-        miss_rate: f64,
         alpha: Option<f64>,
         rho: Option<f64>,
         sim_seconds: f64,
     ) {
         if let Some(hb) = self.heartbeat.as_mut() {
+            let jobs_done = metrics.completed() + metrics.failed();
+            let miss_rate = metrics.miss_rate();
             if let Some(line) = hb.tick(jobs_done, in_flight, miss_rate, alpha, rho, sim_seconds) {
                 eprintln!("{line}");
             }
@@ -345,19 +306,32 @@ impl StreamTelemetry {
         self.reg.add(self.c_trace_dropped, dropped);
     }
 
-    pub(crate) fn on_end(
-        &mut self,
-        sim_seconds: f64,
-        jobs_done: u64,
-        in_flight: usize,
-        miss_rate: f64,
-    ) {
+    /// Publish the finished run: its job and kernel counters and its
+    /// latency/tardiness histograms, read once from the driver's
+    /// aggregator (counters add and histograms merge, so a registry
+    /// reused across runs accumulates them), plus the final clock and
+    /// backlog.
+    pub(crate) fn on_end(&mut self, metrics: &OnlineMetrics, sim_seconds: f64, in_flight: usize) {
+        for (id, n) in [
+            (self.c_admitted, metrics.admitted()),
+            (self.c_completed, metrics.completed()),
+            (self.c_failed, metrics.failed()),
+            (self.c_shed, metrics.shed()),
+            (self.c_kernels, metrics.kernels()),
+            (self.c_misses, metrics.deadline_misses()),
+        ] {
+            self.reg.add(id, n);
+        }
+        self.reg.merge_histogram(self.h_latency, metrics.latency());
+        self.reg
+            .merge_histogram(self.h_tardiness, metrics.tardiness());
         self.reg.set(self.g_sim, sim_seconds);
         self.reg.set(self.g_in_flight, in_flight as f64);
         if let Some(hb) = self.heartbeat.as_mut() {
+            let jobs_done = metrics.completed() + metrics.failed();
             eprintln!(
                 "{}",
-                hb.finish(jobs_done, in_flight, miss_rate, sim_seconds)
+                hb.finish(jobs_done, in_flight, metrics.miss_rate(), sim_seconds)
             );
         }
     }

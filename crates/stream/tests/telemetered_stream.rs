@@ -132,15 +132,26 @@ fn telemetered_run_is_identical_and_fully_accounted() {
     assert!(metered.jobs_shed > 0, "the capacity guard never shed");
     assert!(metered.deadline_misses > 0, "no misses under saturation");
 
-    // Latency histogram: one sample per successful job, sane quantile.
+    // One estimator everywhere: the registry's histograms hold one sample
+    // per successful (deadline-carrying) job, and their quantiles are
+    // exactly the outcome's.
     let lat = reg.histogram_named("job_latency_ms", &[]).unwrap();
     assert_eq!(lat.count(), metered.jobs_completed);
-    let p50 = lat.quantile(0.5).expect("non-empty histogram");
-    assert!(
-        (p50 - metered.latency_p50_ms).abs() <= 0.15 * metered.latency_p50_ms.max(1.0),
-        "histogram p50 {p50} vs P² p50 {}",
-        metered.latency_p50_ms
-    );
+    for (q, outcome) in [
+        (0.5, metered.latency_p50_ms),
+        (0.9, metered.latency_p90_ms),
+        (0.99, metered.latency_p99_ms),
+    ] {
+        assert_eq!(lat.quantile(q), Some(outcome), "latency q={q}");
+    }
+    let tardy = reg.histogram_named("job_tardiness_ms", &[]).unwrap();
+    assert_eq!(tardy.count(), metered.deadline_jobs);
+    for (q, outcome) in [
+        (0.5, metered.tardiness_p50_ms),
+        (0.99, metered.tardiness_p99_ms),
+    ] {
+        assert_eq!(tardy.quantile(q), Some(outcome), "tardiness q={q}");
+    }
 
     // End-of-run gauges track the drained system.
     assert_eq!(reg.gauge_named("in_flight_jobs", &[]).unwrap(), 0.0);
@@ -161,6 +172,20 @@ fn telemetered_run_is_identical_and_fully_accounted() {
     )
     .expect("invalid JSONL snapshot stream");
     assert_eq!(lines as usize, metered.snapshots.len());
+    // The last JSONL line and the last snapshot report the same p99, and
+    // every snapshot's quantiles are ordered.
+    let last = metered.snapshots.last().expect("windows closed");
+    let last_line = tel.jsonl().lines().last().expect("one line per window");
+    let jsonl_p99: f64 = last_line
+        .split("\"latency_p99_ms\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no latency_p99_ms in {last_line}"));
+    assert_eq!(jsonl_p99, last.latency_p99_ms);
+    for s in &metered.snapshots {
+        assert!(s.latency_p50_ms <= s.latency_p90_ms && s.latency_p90_ms <= s.latency_p99_ms);
+    }
 }
 
 /// A bounded ring sink riding along surfaces its retained + dropped

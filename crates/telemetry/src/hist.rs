@@ -155,23 +155,41 @@ impl LogHistogram {
     /// The estimate is within relative error γ of the sample at rank
     /// `⌈q·n⌉` (rank 1 at `q = 0`).
     pub fn quantile(&self, q: f64) -> Option<f64> {
+        self.quantiles([q]).map(|[v]| v)
+    }
+
+    /// [`LogHistogram::quantile`] at each of `qs`, in one pass over the
+    /// buckets; `None` while empty. `qs` must be ascending.
+    ///
+    /// # Panics
+    /// In debug builds, if `qs` is not ascending.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
+        debug_assert!(qs.windows(2).all(|w| w[0] <= w[1]), "qs must ascend");
         if self.count == 0 {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if rank <= self.zero {
-            return Some(0.0);
-        }
+        let mut out = [0.0; N];
+        // `cum` counts every sample below `counts[next]`. The scan runs over
+        // the dense store, empty buckets included: it stops only on a bucket
+        // that raised `cum` to the rank, and `cum` reaches `count` at the
+        // store's top.
         let mut cum = self.zero;
-        for (i, c) in self.nonzero() {
-            cum += c;
-            if cum >= rank {
-                return Some(self.representative(i));
+        let mut next = 0;
+        for (est, q) in out.iter_mut().zip(qs) {
+            let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+            if rank <= self.zero {
+                continue;
             }
+            while cum < rank {
+                let Some(&c) = self.counts.get(next) else {
+                    break;
+                };
+                cum += c;
+                next += 1;
+            }
+            *est = self.representative(self.offset + next as i32 - 1);
         }
-        // Unreachable unless counts drifted; fall back to the top bucket.
-        self.nonzero().last().map(|(i, _)| self.representative(i))
+        Some(out)
     }
 
     /// Fold `other` into `self` bucket-wise. Merging is associative and
@@ -261,6 +279,20 @@ mod tests {
         assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
         assert!((p50 - 500.0).abs() / 500.0 <= 0.02);
         assert!((p99 - 990.0).abs() / 990.0 <= 0.02);
+    }
+
+    #[test]
+    fn quantiles_match_one_at_a_time() {
+        let mut h = LogHistogram::new(0.01);
+        for v in [0.0, 0.0, 0.3, 7.0, 7.1, 40.0, 900.0, 1e4] {
+            h.observe(v);
+        }
+        let qs = [0.0, 0.2, 0.3, 0.5, 0.9, 0.99, 1.0];
+        let one_pass = h.quantiles(qs).unwrap();
+        for (q, got) in qs.into_iter().zip(one_pass) {
+            assert_eq!(Some(got), h.quantile(q), "q={q}");
+        }
+        assert_eq!(LogHistogram::new(0.01).quantiles([0.5, 0.9]), None);
     }
 
     #[test]
