@@ -27,6 +27,18 @@
 //! ([`best_instance_in`]). This produces exactly the assignment sequence of
 //! the one-per-call form (pinned by the Figure-5 test below and the
 //! engine-equivalence suite) at a fraction of the ready-list rescans.
+//!
+//! Whether a kernel can be placed at all is one mask test. Its eligible
+//! set E — the `p_min` instances plus every processor whose placement cost
+//! is within `α·x` ([`SimView::eligible`], computed once by the engine for
+//! each waiting kernel) — meets the remaining idle set exactly when this
+//! pass assigns it. So the pass skips a kernel with `E ∩ idle = ∅` before
+//! any cost query, and `find2ndBestProc` scans only `E ∩ idle`: every
+//! processor within the threshold, the minimum and its lowest-id ties
+//! included, is in E. Because APT reports its α ([`Policy::alpha`]), the
+//! engine also skips the call when no waiting kernel's E meets the idle
+//! set, which removes the empty confirmation call that used to follow
+//! every batched pass.
 
 use apt_base::{BaseError, ProcId, SimDuration};
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
@@ -89,26 +101,16 @@ impl Apt {
     pub fn threshold(&self, x: SimDuration) -> SimDuration {
         x.scale_alpha(self.alpha)
     }
-
-    /// `find2ndBestProc` of Algorithm 1 against the batch's remaining idle
-    /// set. See [`find_alternative_in`].
-    fn find_alternative(
-        &self,
-        view: &SimView<'_>,
-        node: apt_dfg::NodeId,
-        p_min: ProcId,
-        threshold: SimDuration,
-        idle_mask: u64,
-    ) -> Option<(ProcId, SimDuration)> {
-        find_alternative_in(view, node, p_min, threshold, idle_mask)
-    }
 }
 
 /// `find2ndBestProc` of Algorithm 1: the processor in `idle_mask` with the
 /// minimum `exec + transfer` cost for `node`, if that cost is within the
 /// threshold. Excludes `p_min` itself (which is busy when this runs).
-/// `idle_mask` is the batch's *remaining* idle set — ties break to the
-/// lowest id, same as the snapshot-scan form. Returns the chosen processor
+/// `idle_mask` is the batch's *remaining* idle set, narrowed by callers to
+/// the node's eligible set ([`SimView::eligible`]): every processor within
+/// the threshold is eligible, so the narrowing drops only candidates that
+/// could never be admitted, and ties still break to the lowest id, same as
+/// the snapshot-scan form. Returns the chosen processor
 /// *with* its `exec + transfer` cost, so callers can record the decision's
 /// provenance without recomputing it. Shared by [`Apt`] and the
 /// deadline-aware variants ([`crate::EdfApt`], [`crate::LlApt`]) so the
@@ -167,6 +169,12 @@ impl Policy for Apt {
             if idle == 0 {
                 break; // every processor claimed: nothing left this instant
             }
+            // Neither a p_min instance nor an alternative within α·x is
+            // idle: the node waits (one mask test; module docs).
+            let open = view.eligible(node) & idle;
+            if open == 0 {
+                continue;
+            }
             let Some(best) = best_instance_in(view, node, idle) else {
                 continue;
             };
@@ -178,8 +186,7 @@ impl Policy for Apt {
             }
             // Lines 9–14: look for p_alt within α·x.
             let threshold = self.threshold(best.exec);
-            if let Some((p_alt, cost)) =
-                self.find_alternative(view, node, best.proc, threshold, idle)
+            if let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, open)
             {
                 idle &= !(1 << p_alt.index());
                 out.push_explained(

@@ -40,9 +40,11 @@ use apt_dfg::NodeId;
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
 
-/// Sort the ready set into `buf` by an explicit per-node key, FCFS within
-/// equal keys (the ready set already iterates FCFS, and the sort is
-/// stable by construction: position is the tiebreak).
+/// Sort the ready nodes that could be placed this instant into `buf` by
+/// an explicit per-node key, FCFS within equal keys (the ready set already
+/// iterates FCFS, and the sort is stable by construction: position is the
+/// tiebreak). A node whose eligible set misses every idle processor can
+/// only wait, so it is left out of the sort.
 fn order_ready(
     view: &SimView<'_>,
     buf: &mut Vec<(u64, u32, NodeId)>,
@@ -50,7 +52,9 @@ fn order_ready(
 ) {
     buf.clear();
     for (pos, node) in view.ready.iter().enumerate() {
-        buf.push((key(view, node), pos as u32, node));
+        if view.eligible(node) & view.idle_mask != 0 {
+            buf.push((key(view, node), pos as u32, node));
+        }
     }
     buf.sort_unstable();
 }
@@ -66,12 +70,18 @@ fn apt_step(
     threshold_of: impl FnOnce(SimDuration) -> SimDuration,
     idle: u64,
 ) -> Option<(Assignment, Option<DecisionMeta>)> {
+    // The eligible set is built at the full α·x, which bounds every
+    // threshold `threshold_of` returns: outside it nothing is admissible.
+    let open = view.eligible(node) & idle;
+    if open == 0 {
+        return None;
+    }
     let best = best_instance_in(view, node, idle)?;
     if best.idle {
         return Some((Assignment::new(node, best.proc), None));
     }
     let threshold = threshold_of(best.exec);
-    find_alternative_in(view, node, best.proc, threshold, idle).map(|(p_alt, cost)| {
+    find_alternative_in(view, node, best.proc, threshold, open).map(|(p_alt, cost)| {
         (
             Assignment::alternative(node, p_alt),
             Some(DecisionMeta {

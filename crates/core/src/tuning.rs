@@ -83,17 +83,24 @@ pub struct TuningResult {
 /// best. This is exactly what a practitioner would do with this library
 /// before deploying APT on a new machine/workload mix; on the paper's
 /// streams it recovers the α≈4 optimum of Figure 7.
+///
+/// An empty candidate list, or a candidate APT rejects (non-finite or
+/// below 1), is [`BaseError::InvalidConfig`].
 pub fn tune_alpha(
     dfg: &KernelDag,
     config: &SystemConfig,
     lookup: &LookupTable,
     candidates: &[f64],
 ) -> Result<TuningResult, BaseError> {
-    assert!(!candidates.is_empty(), "need at least one candidate α");
+    if candidates.is_empty() {
+        return Err(BaseError::InvalidConfig {
+            reason: "tune_alpha needs at least one candidate α".into(),
+        });
+    }
     let mut evaluated = Vec::with_capacity(candidates.len());
     let mut best: Option<(f64, SimDuration)> = None;
     for &alpha in candidates {
-        let res = simulate(dfg, config, lookup, &mut Apt::new(alpha))?;
+        let res = simulate(dfg, config, lookup, &mut Apt::try_new(alpha)?)?;
         let makespan = res.makespan();
         evaluated.push((alpha, makespan));
         // Strict `<` keeps the *smallest* winning α on ties — less
@@ -206,10 +213,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_candidates_panic() {
+    fn bad_candidate_lists_are_typed_errors() {
         let lookup = LookupTable::paper();
         let dfg = build_type1(&[Kernel::canonical(KernelKind::Bfs)]);
-        let _ = tune_alpha(&dfg, &SystemConfig::paper_4gbps(), lookup, &[]);
+        let config = SystemConfig::paper_4gbps();
+        for (candidates, needle) in [
+            (&[][..], "at least one candidate"),
+            (&[4.0, 0.5][..], "α ≥ 1"),
+            (&[f64::NAN][..], "α ≥ 1"),
+        ] {
+            let err = tune_alpha(&dfg, &config, lookup, candidates).unwrap_err();
+            assert!(
+                matches!(&err, BaseError::InvalidConfig { reason } if reason.contains(needle)),
+                "{candidates:?}: {err}"
+            );
+        }
     }
 }

@@ -451,6 +451,47 @@ impl CostModel {
         Some((proc, SimDuration::from_ns(self.min_ns[node.index()])))
     }
 
+    /// The APT family's *eligible set* of a ready `node` at flexibility
+    /// `alpha`: its minimal-execution-time instances
+    /// ([`CostModel::min_mask`]) plus every runnable processor whose
+    /// contention-free placement cost — execution plus
+    /// [`CostModel::transfer_in_time`], exactly `SimView::placement_cost` —
+    /// is within the Eq. 8 threshold `α·x`. Zero when no processor can run
+    /// the node.
+    ///
+    /// This is the one definition of eligibility: a policy whose
+    /// [`crate::Policy::alpha`] reports `Some(α)` places a ready node only
+    /// inside this set. It reads only the locations of the node's
+    /// predecessors, which are fixed once the node is ready, so the set
+    /// stays valid until α changes.
+    pub fn eligible_mask(
+        &self,
+        dfg: &KernelDag,
+        locations: &[Option<ProcId>],
+        node: NodeId,
+        alpha: f64,
+    ) -> u64 {
+        let Some(x) = self.min_exec(node) else {
+            return 0;
+        };
+        let threshold = x.scale_alpha(alpha);
+        let mut mask = self.min_mask(node);
+        let mut others = self.runnable_mask(node) & !mask;
+        while others != 0 {
+            let p = ProcId::new(others.trailing_zeros() as usize);
+            others &= others - 1;
+            let exec = SimDuration::from_ns(self.exec_ns(node, p));
+            // Transfers only add cost, so an execution time past the
+            // threshold settles the test without summing the inputs.
+            if exec <= threshold
+                && exec + self.transfer_in_time(dfg, locations, node, p) <= threshold
+            {
+                mask |= 1 << p.index();
+            }
+        }
+        mask
+    }
+
     /// Cached category of one processor instance.
     #[inline]
     pub fn kind_of(&self, proc: ProcId) -> ProcKind {
@@ -662,6 +703,58 @@ mod tests {
                     config.link.transfer_time(bytes),
                     "{kernel}"
                 );
+            }
+        }
+    }
+
+    /// The Figure-5 thresholds: bfs runs 106 ms on the FPGA, 173 on the
+    /// GPU and 332 on the CPU, so without transfers the GPU joins E at
+    /// α = 2 (≤ 212) but not at α = 1.5 (> 159), and the CPU at α = 4.
+    #[test]
+    fn eligible_mask_grows_with_alpha() {
+        let dfg = build_type1(&[Kernel::canonical(KernelKind::Bfs)]);
+        let config = SystemConfig::paper_no_transfers();
+        let cost = CostModel::new(&dfg, LookupTable::paper(), &config);
+        let e = |alpha| cost.eligible_mask(&dfg, &[None], NodeId::new(0), alpha);
+        assert_eq!(e(1.0), 0b100);
+        assert_eq!(e(1.5), 0b100);
+        assert_eq!(e(2.0), 0b110);
+        assert_eq!(e(4.0), 0b111);
+        // A kernel no processor can run has no eligible set.
+        let asic_only = SystemConfig::empty(LinkRate::gbps(4)).with_proc(ProcKind::Asic);
+        let cost = CostModel::new(&dfg, LookupTable::paper(), &asic_only);
+        assert_eq!(cost.eligible_mask(&dfg, &[None], NodeId::new(0), 16.0), 0);
+    }
+
+    /// `eligible_mask` against its definition: the minimal instances plus
+    /// every processor whose exec + transfer-in is within `α·x`, for every
+    /// residency of the sink's two inputs.
+    #[test]
+    fn eligible_mask_matches_placement_costs() {
+        let (dfg, lookup, config) = fixture();
+        let cost = CostModel::new(&dfg, lookup, &config);
+        let sink = NodeId::new(2);
+        let procs: Vec<ProcId> = config.proc_ids().collect();
+        for &a in &procs {
+            for &b in &procs {
+                let locations = [Some(a), Some(b), None];
+                for alpha in [1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 1e6] {
+                    let threshold = cost.min_exec(sink).unwrap().scale_alpha(alpha);
+                    let naive = procs.iter().fold(cost.min_mask(sink), |m, &p| {
+                        let placement = cost
+                            .exec_time(sink, p)
+                            .map(|e| e + cost.transfer_in_time(&dfg, &locations, sink, p));
+                        match placement {
+                            Some(c) if c <= threshold => m | 1 << p.index(),
+                            _ => m,
+                        }
+                    });
+                    assert_eq!(
+                        cost.eligible_mask(&dfg, &locations, sink, alpha),
+                        naive,
+                        "inputs on {a}/{b}, α = {alpha}"
+                    );
+                }
             }
         }
     }

@@ -38,6 +38,11 @@
 //!   ascending-id iteration (the seed paid an O(n) `Vec` memmove per
 //!   assignment),
 //! * a running idle-processor bitset makes `SimView::any_idle` O(1),
+//! * for a policy that reports an α, each waiting node's eligible set
+//!   ([`CostModel::eligible_mask`]) is computed once and kept with
+//!   per-processor counts, so the fixpoint skips `decide` calls that cannot
+//!   assign and the APT family tests a waiting node with one mask
+//!   ([`SimView::eligible`]),
 //! * the event queue is a [`CalendarQueue`]: completions at one instant are
 //!   popped as a single batch into a reusable buffer (no per-event heap
 //!   sift, no peek/pop loop, no tuple churn),
@@ -48,6 +53,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
+use crate::eligible::EligibilityIndex;
 use crate::policy::{Assignment, AssignmentBuf, Policy, PrepareCtx};
 use crate::ready::ReadySet;
 use crate::system::SystemConfig;
@@ -253,6 +259,9 @@ pub(crate) struct EngineCore {
     /// [`LinkContention::PerLink`]. Empty ⇔ the seed's serialized-transfer
     /// semantics are in force.
     pub(crate) link_busy: Vec<SimTime>,
+    /// Eligible sets of the waiting nodes, for policies that report an α
+    /// (see [`crate::eligible`]).
+    pub(crate) eligible: EligibilityIndex,
 }
 
 impl EngineCore {
@@ -311,6 +320,7 @@ impl EngineCore {
                 LinkContention::Off => Vec::new(),
                 LinkContention::PerLink => vec![SimTime::ZERO; config.len() * config.len()],
             },
+            eligible: EligibilityIndex::new(config.len()),
         }
     }
 
@@ -327,6 +337,7 @@ impl EngineCore {
         core.locations = vec![None; n];
         core.deadlines = vec![SimTime::MAX; n];
         core.records = vec![None; n];
+        core.eligible.grow(n);
         for s in ctx.dfg.sources() {
             if core.arrived[s.index()] {
                 core.ready.insert(s);
@@ -784,7 +795,9 @@ impl EngineCore {
         ctx: EngineCtx<'_>,
         slot: NodeId,
     ) -> Result<(), BaseError> {
-        self.ready.remove(slot);
+        if self.ready.remove(slot) {
+            self.eligible.forget(slot);
+        }
         self.fault_cancel_pending(slot);
         let running_on = (0..self.views.len()).find(|&p| self.views[p].running == Some(slot));
         if let Some(p) = running_on {
@@ -1004,7 +1017,16 @@ impl EngineCore {
                 ),
             });
         }
+        debug_assert!(
+            self.eligible
+                .known(a.node)
+                .is_none_or(|e| e & (1 << a.proc.index()) != 0),
+            "a policy reporting an α placed node {} on {}, outside its eligible set",
+            a.node,
+            a.proc
+        );
         self.ready.remove(a.node);
+        self.eligible.forget(a.node);
         if self.views[a.proc.index()].running.is_none() {
             debug_assert!(self.procs[a.proc.index()].queue.is_empty());
             self.start_node(ctx, a, a.proc)?;
@@ -1059,6 +1081,7 @@ impl EngineCore {
         self.ready_time[node.index()] = self.now.max(self.ready_time[node.index()]);
         let inserted = self.ready.insert(node);
         debug_assert!(inserted, "node became ready twice");
+        self.eligible.note_ready(node);
         if self.tracing() {
             let at = self.ready_time[node.index()];
             self.trace(TraceEvent::KernelReady {
@@ -1127,8 +1150,22 @@ impl EngineCore {
     }
 
     /// Run the policy to a fixpoint at the current instant. The view borrows
-    /// the incrementally maintained snapshots — nothing is rebuilt here. An
-    /// empty ready set is a fixpoint without a `decide` call.
+    /// the incrementally maintained snapshots — nothing is rebuilt here.
+    ///
+    /// A `decide` call that cannot assign anything is skipped:
+    ///
+    /// * with an empty ready set, for every policy;
+    /// * for a policy that reports an α ([`Policy::alpha`]), when every
+    ///   ready node's eligible set is known and none meets the idle set
+    ///   ([`crate::eligible`]). Such a policy places a node only inside its
+    ///   eligible set, so the call would come back empty. That removes the
+    ///   confirmation call after every batched APT pass, and the rounds in
+    ///   which every waiting node needs a busy processor. Policies reporting
+    ///   `None` are always consulted: HEFT/PEFT queue work onto busy
+    ///   processors, so an idle-set test says nothing about them.
+    ///
+    /// After each round the nodes that are still waiting get their eligible
+    /// set; a node placed in the round that first sees it never needs one.
     pub(crate) fn fixpoint(
         &mut self,
         ctx: EngineCtx<'_>,
@@ -1139,6 +1176,11 @@ impl EngineCore {
             // `decide` may only emit ready nodes, so with none there is
             // nothing it could do: skip the call.
             if self.ready.is_empty() {
+                self.eligible.clear_fresh();
+                return Ok(());
+            }
+            let alpha = policy.alpha();
+            if self.eligible.sync(alpha, &self.ready) && self.eligible.blocked(self.idle_mask) {
                 return Ok(());
             }
             out.clear();
@@ -1155,6 +1197,7 @@ impl EngineCore {
                     cost: ctx.cost,
                     locations: &self.locations,
                     deadlines: &self.deadlines,
+                    eligible: self.eligible.masks(),
                     idle_mask: self.idle_mask,
                     up_mask: self.up_mask,
                 };
@@ -1165,27 +1208,31 @@ impl EngineCore {
                 let alts = out.as_slice().iter().filter(|a| a.alt).count();
                 p.note_decide(out.len(), alts);
             }
-            if out.is_empty() {
-                return Ok(());
-            }
-            #[cfg(feature = "self-profile")]
-            self.prof_enter(apt_telemetry::Phase::Apply);
-            for (i, &a) in out.as_slice().iter().enumerate() {
-                self.apply(ctx, a)?;
-                // Decision provenance: policies that explained an
-                // alternative placement get it stamped into the trace at
-                // the instant the assignment was applied.
-                if self.tracing() {
-                    if let Some(meta) = out.meta_for(i) {
-                        let at = self.now;
-                        self.trace(TraceEvent::Decision(DecisionRecord {
-                            at,
-                            node: a.node.index() as u32,
-                            chosen: a.proc,
-                            meta,
-                        }));
+            if !out.is_empty() {
+                #[cfg(feature = "self-profile")]
+                self.prof_enter(apt_telemetry::Phase::Apply);
+                for (i, &a) in out.as_slice().iter().enumerate() {
+                    self.apply(ctx, a)?;
+                    // Decision provenance: policies that explained an
+                    // alternative placement get it stamped into the trace at
+                    // the instant the assignment was applied.
+                    if self.tracing() {
+                        if let Some(meta) = out.meta_for(i) {
+                            let at = self.now;
+                            self.trace(TraceEvent::Decision(DecisionRecord {
+                                at,
+                                node: a.node.index() as u32,
+                                chosen: a.proc,
+                                meta,
+                            }));
+                        }
                     }
                 }
+            }
+            self.eligible
+                .index_fresh(ctx.cost, ctx.dfg, &self.locations, &self.ready);
+            if out.is_empty() {
+                return Ok(());
             }
         }
     }
@@ -2100,6 +2147,103 @@ mod tests {
         );
         assert_eq!(totals.crashes, 0);
         assert_eq!(totals.kernel_failures, 0);
+    }
+
+    /// [`GreedyBest`] honours the eligibility contract at α = 1 (it only
+    /// ever uses an idle minimal instance), so it may report that α.
+    struct ReportsAlpha {
+        inner: GreedyBest,
+        alpha: Option<f64>,
+        calls: usize,
+    }
+
+    impl Policy for ReportsAlpha {
+        fn name(&self) -> String {
+            "ReportsAlpha".into()
+        }
+        fn kind(&self) -> PolicyKind {
+            PolicyKind::Dynamic
+        }
+        fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+            self.calls += 1;
+            self.inner.decide(view, out);
+        }
+        fn alpha(&self) -> Option<f64> {
+            self.alpha
+        }
+    }
+
+    /// Reporting an α lets the engine skip the calls that cannot assign —
+    /// the confirmation call after every assigning round, and the rounds
+    /// where every waiting kernel needs a busy processor — without moving
+    /// the schedule.
+    #[test]
+    fn eligibility_index_skips_calls_that_cannot_assign() {
+        let kernels = generate_kernels(&StreamConfig::new(60, 5), apt_dfg::LookupTable::paper());
+        let dfg = build_type1(&kernels);
+        let cfg = SystemConfig::paper_4gbps();
+        let run = |alpha| {
+            let mut p = ReportsAlpha {
+                inner: GreedyBest,
+                alpha,
+                calls: 0,
+            };
+            let res = simulate(&dfg, &cfg, apt_dfg::LookupTable::paper(), &mut p).unwrap();
+            (res.trace, p.calls)
+        };
+        let (consulted, every_event) = run(None);
+        let (indexed, skipping) = run(Some(1.0));
+        assert_eq!(consulted, indexed);
+        assert!(
+            skipping < every_event,
+            "{skipping} calls with the index vs {every_event} without"
+        );
+    }
+
+    /// Reports α = 1 but runs everything on processor 0 once a kernel has
+    /// waited a round: a contract breach the engine's debug check catches
+    /// as soon as the kernel's eligible set is known.
+    struct Rogue {
+        rounds: usize,
+    }
+
+    impl Policy for Rogue {
+        fn name(&self) -> String {
+            "Rogue".into()
+        }
+        fn kind(&self) -> PolicyKind {
+            PolicyKind::Dynamic
+        }
+        fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+            self.rounds += 1;
+            let first = view.ready.iter().next().expect("never called empty");
+            if self.rounds == 1 {
+                // Place only the first kernel (on its best processor); the
+                // second waits, so it gets an eligible set.
+                out.push(Assignment::new(first, view.best_proc(first).unwrap().0));
+            } else if view.proc(ProcId::new(0)).is_idle() {
+                out.push(Assignment::new(first, ProcId::new(0)));
+            }
+        }
+        fn alpha(&self) -> Option<f64> {
+            Some(1.0)
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside its eligible set")]
+    fn placing_outside_the_eligible_set_is_caught() {
+        // Two independent bfs kernels (and their sink): the second waits
+        // for the FPGA (its whole eligible set at α = 1), then Rogue puts
+        // it on the CPU.
+        let dfg = build_type1(&[bfs(), bfs(), cd()]);
+        let _ = simulate(
+            &dfg,
+            &SystemConfig::paper_no_transfers(),
+            apt_dfg::LookupTable::paper(),
+            &mut Rogue { rounds: 0 },
+        );
     }
 
     #[test]

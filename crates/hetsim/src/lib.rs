@@ -93,6 +93,7 @@
 
 pub mod calendar;
 pub mod cost;
+mod eligible;
 pub mod engine;
 pub mod link;
 pub mod open;

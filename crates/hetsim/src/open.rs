@@ -472,6 +472,7 @@ impl<'a> OpenEngine<'a> {
                 None => {
                     let s = self.dag.add_node(kernel);
                     self.core.ready.grow(self.dag.len());
+                    self.core.eligible.grow(self.dag.len());
                     self.core.ready_time.push(SimTime::ZERO);
                     self.core.remaining_preds.push(0);
                     self.core.arrived.push(false);

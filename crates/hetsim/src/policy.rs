@@ -219,11 +219,36 @@ pub trait Policy {
     /// therefore never calls `decide` with an empty ready set: the fixpoint
     /// ends there without consulting the policy, so state a policy keeps
     /// across calls (a cursor, an RNG) advances only when there is work.
+    ///
+    /// For a policy that reports an α ([`Policy::alpha`]), the engine also
+    /// never calls `decide` when no ready node has an eligible idle
+    /// processor: once every ready node's eligible set is known
+    /// ([`SimView::eligible`]) and none meets the idle set, the call could
+    /// only come back empty under that contract, and the fixpoint ends
+    /// without it. Such a policy must not rely on being called on every
+    /// event.
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf);
 
     /// The policy's runtime-tunable APT-family threshold α, when it has
     /// one. Controllers read this to seed their probing state; policies
     /// without the knob (everything but the APT family) report `None`.
+    ///
+    /// Reporting `Some(α)` is also a promise the engine builds on: the
+    /// policy places a ready node only on one of its minimal-execution-time
+    /// instances or on a processor whose `placement_cost` (execution plus
+    /// contention-free input transfer, [`SimView::placement_cost`]) is at
+    /// most `α·x` — the node's eligible set,
+    /// [`CostModel::eligible_mask`]. In return the engine computes that
+    /// set once per waiting node, exposes it as [`SimView::eligible`] and
+    /// skips `decide` calls that cannot assign (see [`Policy::decide`]).
+    /// APT and EDF-APT keep the promise exactly; LL-APT's slack-clamped
+    /// threshold never exceeds `α·x`, so the set is a safe superset for
+    /// it. APT-R (no runtime knob) and the baselines report `None`, so the
+    /// engine consults them on every event; so must any wrapper that can
+    /// place outside the set. Debug builds check every placement against
+    /// the set. Wrappers that only forward `decide` should forward this
+    /// too, or the engine falls back to consulting the policy on every
+    /// event.
     fn alpha(&self) -> Option<f64> {
         None
     }

@@ -93,6 +93,12 @@ pub struct SimView<'a> {
     /// deadline on admission. Deadline-aware policies read this through
     /// [`SimView::deadline`] and [`SimView::slack`].
     pub deadlines: &'a [SimTime],
+    /// Per-node eligible sets of the waiting nodes, indexed by node id, `0`
+    /// where unknown: for a policy whose [`crate::Policy::alpha`] reports
+    /// `Some(α)`, the engine fills in [`CostModel::eligible_mask`] at that α
+    /// for every node that stayed ready through a `decide` round. Read it
+    /// through [`SimView::eligible`]. Hand-built views may pass `&[]`.
+    pub eligible: &'a [u64],
     /// Bitset of currently idle processors (bit `i` ⇔ `procs[i].is_idle()`),
     /// maintained incrementally by the engine. Makes [`SimView::any_idle`]
     /// and [`SimView::idle_count`] O(1), and doubles as the memo key for the
@@ -144,6 +150,20 @@ impl<'a> SimView<'a> {
     #[inline]
     pub fn slack(&self, node: NodeId) -> Option<SimDuration> {
         self.deadline(node).map(|d| d.saturating_since(self.now))
+    }
+
+    /// The eligible set of `node` (bit `i` ⇔ processor `i`) at the α the
+    /// policy reports: every processor it may be placed on. All ones when
+    /// the engine has not computed it (a node fresh this round, a policy
+    /// without an α, a hand-built view), so `eligible(node) & idle` is
+    /// always a safe filter for a policy that honours the
+    /// [`crate::Policy::alpha`] contract.
+    #[inline]
+    pub fn eligible(&self, node: NodeId) -> u64 {
+        match self.eligible.get(node.index()) {
+            Some(&m) if m != 0 => m,
+            _ => u64::MAX,
+        }
     }
 
     /// Input-transfer time if `node` were started on `proc` right now: the
@@ -293,6 +313,7 @@ mod tests {
             cost: &f.cost,
             locations,
             deadlines: &[],
+            eligible: &[],
             idle_mask: procs
                 .iter()
                 .enumerate()

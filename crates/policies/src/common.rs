@@ -110,6 +110,7 @@ mod tests {
             cost: &cost,
             locations: &locations,
             deadlines: &[],
+            eligible: &[],
             idle_mask: procs
                 .iter()
                 .enumerate()

@@ -18,13 +18,18 @@
 //!   (inclusive, whole nanoseconds), modelling heterogeneous per-customer
 //!   SLOs.
 //!
+//! A source checks its spec once, when it takes it
+//! ([`DeadlineSpec::validate`]; the sources' `try_with_deadlines` returns
+//! the error, `with_deadlines` panics with it), so drawing a deadline per
+//! arrival carries no check.
+//!
 //! Sources draw deadlines from a **dedicated** RNG stream (seeded from the
 //! source seed), so switching a source between specs never perturbs its
 //! arrival instants or kernel draws — the stream-equivalence suites keep
 //! comparing the identical workload.
 
 use crate::job::JobTemplate;
-use apt_base::SimDuration;
+use apt_base::{BaseError, SimDuration};
 use apt_dfg::{LookupTable, SplitMix64};
 
 /// How an arrival source assigns relative deadlines to the jobs it yields.
@@ -36,8 +41,8 @@ pub enum DeadlineSpec {
     /// Every job gets the same relative deadline.
     Fixed(SimDuration),
     /// `deadline = factor × critical_path_min(job)` — tightness relative
-    /// to the job's own best-case response time. Panics on draw if
-    /// `factor < 1` (such a deadline is unmeetable by construction).
+    /// to the job's own best-case response time. `factor` must be finite
+    /// and ≥ 1 (a smaller one is unmeetable by construction).
     ProportionalCp {
         /// Tightness multiplier over the job's minimum critical path (≥ 1).
         factor: f64,
@@ -52,9 +57,28 @@ pub enum DeadlineSpec {
 }
 
 impl DeadlineSpec {
+    /// `self` if every draw is well defined, else
+    /// [`BaseError::InvalidConfig`]: a [`DeadlineSpec::ProportionalCp`]
+    /// factor must be finite and ≥ 1, and a [`DeadlineSpec::Uniform`]
+    /// range must not be inverted.
+    pub fn validate(self) -> Result<DeadlineSpec, BaseError> {
+        match self {
+            DeadlineSpec::ProportionalCp { factor } if !(factor.is_finite() && factor >= 1.0) => {
+                Err(BaseError::InvalidConfig {
+                    reason: format!("proportional deadline factor must be ≥ 1, got {factor}"),
+                })
+            }
+            DeadlineSpec::Uniform { lo, hi } if lo > hi => Err(BaseError::InvalidConfig {
+                reason: format!("uniform deadline range inverted: {lo} > {hi}"),
+            }),
+            spec => Ok(spec),
+        }
+    }
+
     /// Derive the relative deadline for one freshly instantiated job.
     /// Deterministic in `(self, rng state, job, lookup)`; only
-    /// [`DeadlineSpec::Uniform`] consumes randomness.
+    /// [`DeadlineSpec::Uniform`] consumes randomness. The spec must pass
+    /// [`DeadlineSpec::validate`] (sources check it when they take it).
     pub fn draw(
         self,
         rng: &mut SplitMix64,
@@ -65,14 +89,11 @@ impl DeadlineSpec {
             DeadlineSpec::None => None,
             DeadlineSpec::Fixed(d) => Some(d),
             DeadlineSpec::ProportionalCp { factor } => {
-                assert!(
-                    factor >= 1.0 && factor.is_finite(),
-                    "proportional deadline factor must be ≥ 1, got {factor}"
-                );
+                debug_assert!(self.validate().is_ok(), "unvalidated {self:?}");
                 Some(job.critical_path_min(lookup).scale_alpha(factor))
             }
             DeadlineSpec::Uniform { lo, hi } => {
-                assert!(lo <= hi, "uniform deadline range inverted: {lo} > {hi}");
+                debug_assert!(self.validate().is_ok(), "unvalidated {self:?}");
                 let span = hi.as_ns() - lo.as_ns();
                 let offset = if span == 0 {
                     0
@@ -151,11 +172,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "factor must be ≥ 1")]
-    fn sub_unit_proportional_factor_is_rejected() {
-        let lookup = LookupTable::paper();
-        let j = job(3);
-        DeadlineSpec::ProportionalCp { factor: 0.5 }.draw(&mut SplitMix64::new(1), &j, lookup);
+    fn validate_types_every_bad_spec() {
+        let ms = SimDuration::from_ms;
+        for (bad, needle) in [
+            (
+                DeadlineSpec::ProportionalCp { factor: 0.5 },
+                "factor must be ≥ 1",
+            ),
+            (
+                DeadlineSpec::ProportionalCp { factor: f64::NAN },
+                "factor must be ≥ 1",
+            ),
+            (
+                DeadlineSpec::ProportionalCp {
+                    factor: f64::INFINITY,
+                },
+                "factor must be ≥ 1",
+            ),
+            (
+                DeadlineSpec::Uniform {
+                    lo: ms(2),
+                    hi: ms(1),
+                },
+                "range inverted",
+            ),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(
+                matches!(&err, BaseError::InvalidConfig { reason } if reason.contains(needle)),
+                "{bad:?}: {err}"
+            );
+        }
+        for good in [
+            DeadlineSpec::None,
+            DeadlineSpec::Fixed(ms(0)),
+            DeadlineSpec::ProportionalCp { factor: 1.0 },
+            DeadlineSpec::Uniform {
+                lo: ms(1),
+                hi: ms(1),
+            },
+        ] {
+            assert_eq!(good.validate(), Ok(good));
+        }
     }
 
     #[test]

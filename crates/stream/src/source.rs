@@ -144,10 +144,22 @@ impl<'a> PoissonSource<'a> {
 
     /// Tag every yielded job with a relative deadline per `spec`. Deadline
     /// draws use a dedicated RNG stream, so arrivals and kernels are
-    /// unchanged from the untagged source.
-    pub fn with_deadlines(mut self, spec: DeadlineSpec) -> PoissonSource<'a> {
-        self.deadlines = spec;
-        self
+    /// unchanged from the untagged source. Panics on a spec that fails
+    /// [`DeadlineSpec::validate`]; see [`PoissonSource::try_with_deadlines`].
+    pub fn with_deadlines(self, spec: DeadlineSpec) -> PoissonSource<'a> {
+        self.try_with_deadlines(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PoissonSource::with_deadlines`], returning
+    /// [`BaseError::InvalidConfig`] for a spec that fails
+    /// [`DeadlineSpec::validate`] instead of panicking.
+    pub fn try_with_deadlines(
+        mut self,
+        spec: DeadlineSpec,
+    ) -> Result<PoissonSource<'a>, BaseError> {
+        self.deadlines = spec.validate()?;
+        Ok(self)
     }
 }
 
@@ -249,10 +261,19 @@ impl<'a> OnOffSource<'a> {
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
-    /// RNG stream; arrivals and kernels unchanged).
-    pub fn with_deadlines(mut self, spec: DeadlineSpec) -> OnOffSource<'a> {
-        self.deadlines = spec;
-        self
+    /// RNG stream; arrivals and kernels unchanged). Panics on a spec that
+    /// fails [`DeadlineSpec::validate`].
+    pub fn with_deadlines(self, spec: DeadlineSpec) -> OnOffSource<'a> {
+        self.try_with_deadlines(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`OnOffSource::with_deadlines`], returning
+    /// [`BaseError::InvalidConfig`] for a spec that fails
+    /// [`DeadlineSpec::validate`] instead of panicking.
+    pub fn try_with_deadlines(mut self, spec: DeadlineSpec) -> Result<OnOffSource<'a>, BaseError> {
+        self.deadlines = spec.validate()?;
+        Ok(self)
     }
 }
 
@@ -372,10 +393,22 @@ impl<'a> DiurnalSource<'a> {
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
-    /// RNG stream; arrivals and kernels unchanged).
-    pub fn with_deadlines(mut self, spec: DeadlineSpec) -> DiurnalSource<'a> {
-        self.deadlines = spec;
-        self
+    /// RNG stream; arrivals and kernels unchanged). Panics on a spec that
+    /// fails [`DeadlineSpec::validate`].
+    pub fn with_deadlines(self, spec: DeadlineSpec) -> DiurnalSource<'a> {
+        self.try_with_deadlines(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DiurnalSource::with_deadlines`], returning
+    /// [`BaseError::InvalidConfig`] for a spec that fails
+    /// [`DeadlineSpec::validate`] instead of panicking.
+    pub fn try_with_deadlines(
+        mut self,
+        spec: DeadlineSpec,
+    ) -> Result<DiurnalSource<'a>, BaseError> {
+        self.deadlines = spec.validate()?;
+        Ok(self)
     }
 
     /// Instantaneous rate at `t_ns`, jobs per second.
@@ -693,6 +726,47 @@ mod tests {
     #[should_panic(expected = "arrival rate must be positive and finite")]
     fn new_panics_with_the_typed_reason() {
         PoissonSource::new(LookupTable::paper(), f64::NAN, 1, JobFamily::Single, 1);
+    }
+
+    /// Every rate-driven source checks its deadline spec once, when it
+    /// takes it, so no arrival ever draws from a bad one.
+    #[test]
+    fn every_source_types_a_bad_deadline_spec() {
+        let lookup = LookupTable::paper();
+        let ms = SimDuration::from_ms;
+        let bad = [
+            DeadlineSpec::ProportionalCp { factor: 0.25 },
+            DeadlineSpec::Uniform {
+                lo: ms(9),
+                hi: ms(3),
+            },
+        ];
+        let poisson = || PoissonSource::new(lookup, 1.0, 5, JobFamily::Single, 1);
+        let on_off = || OnOffSource::new(lookup, 1.0, ms(10), ms(10), 5, JobFamily::Single, 1);
+        let diurnal = || DiurnalSource::new(lookup, 1.0, 0.0, ms(10), 5, JobFamily::Single, 1);
+        for spec in bad {
+            let errs = [
+                poisson().try_with_deadlines(spec).err(),
+                on_off().try_with_deadlines(spec).err(),
+                diurnal().try_with_deadlines(spec).err(),
+            ];
+            for err in errs {
+                assert_eq!(err, spec.validate().err(), "{spec:?}");
+                assert!(matches!(err, Some(BaseError::InvalidConfig { .. })));
+            }
+        }
+        let good = DeadlineSpec::ProportionalCp { factor: 2.0 };
+        assert_eq!(
+            drain(&mut poisson().try_with_deadlines(good).unwrap()),
+            drain(&mut poisson().with_deadlines(good))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "factor must be ≥ 1")]
+    fn with_deadlines_panics_with_the_typed_reason() {
+        let _ = PoissonSource::new(LookupTable::paper(), 1.0, 1, JobFamily::Single, 1)
+            .with_deadlines(DeadlineSpec::ProportionalCp { factor: 0.5 });
     }
 
     #[test]

@@ -250,6 +250,9 @@ impl<'a> RefEngine<'a> {
                         cost: self.cost,
                         locations: &self.locations,
                         deadlines: &deadlines,
+                        // No eligibility index: the policy scans every
+                        // idle processor for every ready node.
+                        eligible: &[],
                         idle_mask: views
                             .iter()
                             .enumerate()
