@@ -11,7 +11,7 @@ use apt_base::BaseError;
 use apt_dfg::LookupTable;
 use apt_hetsim::{CompletedJob, SystemConfig};
 use apt_stream::{AdmissionGate, AdmitRequest, JobTemplate};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A named admission gate: the driver-facing decision/feedback hooks come
 /// from the `apt_stream::AdmissionGate` supertrait (`admit` /
@@ -46,6 +46,72 @@ fn min_work_ns(job: &JobTemplate, lookup: &LookupTable) -> Option<u64> {
         .sum()
 }
 
+/// Per-job reservations keyed by engine `JobId`. The driver's ids come
+/// from `OpenEngine::next_job_id`, which only increases, so the reserved
+/// ids of in-flight jobs sit in a window from the oldest one on: a ring of
+/// slots indexed by `id − base`, trimmed from the front as the oldest
+/// retire. Insert and remove are O(1) amortized and allocate only while
+/// the window grows past its high-water mark. Any id order stays correct
+/// (an id below `base` widens the window at the front), but memory follows
+/// the span from the oldest reserved id to the newest: the engine's dense,
+/// increasing ids keep that span as short as the in-flight window.
+#[derive(Debug)]
+struct Reservations<T> {
+    /// The id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<T>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl<T> Default for Reservations<T> {
+    fn default() -> Self {
+        Reservations {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> Reservations<T> {
+    /// Reserve `value` for `id`, replacing any reservation it already had.
+    fn insert(&mut self, id: u64, value: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            for _ in id..self.base {
+                self.slots.push_front(None);
+            }
+            self.base = id;
+        }
+        let idx = (id - self.base) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        if self.slots[idx].replace(value).is_none() {
+            self.live += 1;
+        }
+    }
+
+    /// Release `id`'s reservation, if it holds one.
+    fn remove(&mut self, id: u64) -> Option<T> {
+        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let value = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(value)
+    }
+
+    /// True when no job holds a reservation.
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
 /// The density (utilization-bound) test: a deadline-carrying job demands
 /// density `work / D` of the machine for its deadline window; admit while
 /// `Σ densities + new ≤ bound × m`. Deadline-free jobs have density 0 and
@@ -57,7 +123,7 @@ pub struct UtilizationBound<'a> {
     bound: f64,
     /// Density reserved per admitted in-flight job, keyed by its engine
     /// `JobId` (from [`AdmitRequest::job_id`]).
-    reserved: BTreeMap<u64, f64>,
+    reserved: Reservations<f64>,
     load: f64,
 }
 
@@ -86,7 +152,7 @@ impl<'a> UtilizationBound<'a> {
             lookup,
             nprocs: config.len(),
             bound,
-            reserved: BTreeMap::new(),
+            reserved: Reservations::default(),
             load: 0.0,
         })
     }
@@ -144,7 +210,7 @@ impl AdmissionGate for UtilizationBound<'_> {
     }
 
     fn on_complete(&mut self, job: &CompletedJob) {
-        if let Some(density) = self.reserved.remove(&job.job.0) {
+        if let Some(density) = self.reserved.remove(job.job.0) {
             self.load -= density;
             // Running subtraction drift is bounded by f64 epsilon per job;
             // clamp so an idle system always reads exactly zero load.
@@ -196,7 +262,7 @@ pub struct FeasibilityGate<'a> {
     nprocs: usize,
     /// Minimum work reserved per in-flight job, keyed by its engine
     /// `JobId` (from [`AdmitRequest::job_id`]).
-    reserved: BTreeMap<u64, u64>,
+    reserved: Reservations<u64>,
     backlog_ns: u64,
 }
 
@@ -206,7 +272,7 @@ impl<'a> FeasibilityGate<'a> {
         FeasibilityGate {
             lookup,
             nprocs: config.len().max(1),
-            reserved: BTreeMap::new(),
+            reserved: Reservations::default(),
             backlog_ns: 0,
         }
     }
@@ -246,7 +312,7 @@ impl AdmissionGate for FeasibilityGate<'_> {
     }
 
     fn on_complete(&mut self, job: &CompletedJob) {
-        if let Some(work) = self.reserved.remove(&job.job.0) {
+        if let Some(work) = self.reserved.remove(job.job.0) {
             self.backlog_ns -= work;
         }
     }
@@ -266,6 +332,7 @@ mod tests {
     use apt_dfg::SplitMix64;
     use apt_hetsim::ReadyOrder;
     use apt_stream::{simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
+    use proptest::prelude::*;
 
     fn job(seed: u64) -> JobTemplate {
         JobFamily::Diamond { width: 2 }
@@ -526,6 +593,190 @@ mod tests {
         let lookup = LookupTable::paper();
         let config = apt_hetsim::SystemConfig::paper_4gbps();
         let _ = UtilizationBound::new(lookup, &config, 0.0);
+    }
+
+    #[test]
+    fn reservations_track_any_id_order() {
+        let mut r = Reservations::default();
+        assert!(r.is_empty());
+        assert_eq!(r.remove(0), None);
+        r.insert(10, 'a');
+        r.insert(12, 'c');
+        r.insert(7, 'x'); // below the window: widens it at the front
+        r.insert(12, 'C'); // replaces, still one reservation
+        assert_eq!(r.live, 3);
+        assert_eq!(r.remove(11), None);
+        assert_eq!(r.remove(6), None);
+        assert_eq!(r.remove(u64::MAX), None);
+        assert_eq!(r.remove(7), Some('x'));
+        assert_eq!((r.base, r.slots.len()), (10, 3), "front trimmed to 10");
+        assert_eq!(r.remove(12), Some('C'));
+        assert_eq!(r.remove(12), None);
+        assert_eq!(r.remove(10), Some('a'));
+        assert!(r.is_empty() && r.slots.is_empty());
+        r.insert(3, 'z');
+        assert_eq!((r.base, r.remove(3)), (3, Some('z')));
+    }
+
+    /// Both gates' decision rules over `BTreeMap` reservations: the oracle
+    /// the slab-backed gates must match decision for decision.
+    #[derive(Default)]
+    struct OracleGates {
+        util_reserved: std::collections::BTreeMap<u64, f64>,
+        load: f64,
+        bound: f64,
+        feas_reserved: std::collections::BTreeMap<u64, u64>,
+        backlog_ns: u64,
+    }
+
+    impl OracleGates {
+        fn util_admit(&mut self, req: &AdmitRequest<'_>, nprocs: usize) -> bool {
+            let Some(work) = min_work_ns(req.job, LookupTable::paper()) else {
+                return false;
+            };
+            let density = match req.deadline {
+                None => 0.0,
+                Some(deadline) => {
+                    let window = deadline.saturating_since(req.arrival).as_ns().max(1);
+                    work as f64 / window as f64
+                }
+            };
+            if density > 0.0 {
+                let capacity = req.live_procs.min(nprocs);
+                if self.load + density > self.bound * capacity as f64 {
+                    return false;
+                }
+            }
+            self.util_reserved.insert(req.job_id.0, density);
+            self.load += density;
+            true
+        }
+
+        fn util_complete(&mut self, id: u64) {
+            if let Some(density) = self.util_reserved.remove(&id) {
+                self.load -= density;
+                if self.util_reserved.is_empty() {
+                    self.load = 0.0;
+                }
+            }
+        }
+
+        fn feas_admit(&mut self, req: &AdmitRequest<'_>, nprocs: usize) -> bool {
+            let lookup = LookupTable::paper();
+            let Some(work) = min_work_ns(req.job, lookup) else {
+                return false;
+            };
+            if let Some(deadline) = req.deadline {
+                let live = req.live_procs.min(nprocs);
+                if live == 0 {
+                    return false;
+                }
+                let window = deadline.saturating_since(req.arrival).as_ns();
+                let estimate =
+                    self.backlog_ns / live as u64 + req.job.critical_path_min(lookup).as_ns();
+                if estimate > window {
+                    return false;
+                }
+            }
+            self.feas_reserved.insert(req.job_id.0, work);
+            self.backlog_ns += work;
+            true
+        }
+
+        fn feas_complete(&mut self, id: u64) {
+            if let Some(work) = self.feas_reserved.remove(&id) {
+                self.backlog_ns -= work;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random admit/complete scripts over increasing ids, as the
+        /// driver issues them: a shed arrival's id is re-offered to the
+        /// next one, completions may name ids that hold no reservation
+        /// (shed, already retired, or never offered), and ρ is retuned
+        /// mid-run. Both slab-backed gates match the oracle decision for
+        /// decision, with `load` and `backlog_ns` bit-equal throughout.
+        fn gates_match_the_btreemap_oracle(
+            script in prop::collection::vec(
+                (0u64..10, 0u64..8, 0u64..6_000, 0usize..4),
+                1..400,
+            ),
+        ) {
+            let lookup = LookupTable::paper();
+            let config = apt_hetsim::SystemConfig::paper_4gbps();
+            let nprocs = config.len();
+            let uncovered = JobTemplate::new(
+                vec![apt_dfg::Kernel::new(apt_dfg::KernelKind::MatMul, 123)],
+                Vec::new(),
+            )
+            .unwrap();
+            let jobs = [job(1), job(2), job(3), uncovered];
+            let mut util = UtilizationBound::new(lookup, &config, 1.0);
+            let mut feas = FeasibilityGate::new(lookup, &config);
+            let mut oracle = OracleGates { bound: 1.0, ..OracleGates::default() };
+            // Each gate has its own engine: ids advance on its admissions.
+            let (mut util_next, mut feas_next) = (0u64, 0u64);
+            let (mut util_live, mut feas_live) = (Vec::new(), Vec::new());
+            let at = SimTime::from_ms(1_000);
+            for (step, &(op, pick, ms, live)) in script.iter().enumerate() {
+                match op {
+                    // Offer an arrival to both gates.
+                    0..=5 => {
+                        let job = &jobs[pick as usize % jobs.len()];
+                        let deadline = (pick < 6).then(|| at + SimDuration::from_ms(ms));
+                        let req = |id| AdmitRequest {
+                            live_procs: live,
+                            ..request(id, job, at, deadline)
+                        };
+                        let got = util.admit(&req(util_next));
+                        let want = oracle.util_admit(&req(util_next), nprocs);
+                        prop_assert_eq!(got, want, "util step {}", step);
+                        if got {
+                            util_live.push(util_next);
+                            util_next += 1;
+                        }
+                        let got = feas.admit(&req(feas_next));
+                        let want = oracle.feas_admit(&req(feas_next), nprocs);
+                        prop_assert_eq!(got, want, "feas step {}", step);
+                        if got {
+                            feas_live.push(feas_next);
+                            feas_next += 1;
+                        }
+                    }
+                    // Retire an in-flight job (any one: jobs finish out of
+                    // order), or an arbitrary id that may hold nothing:
+                    // never offered, shed, or already retired.
+                    6..=8 => {
+                        let retire = |live: &mut Vec<u64>, next: u64| {
+                            if op == 8 || live.is_empty() {
+                                [next, next + 1 + ms, ms % (next + 1)][pick as usize % 3]
+                            } else {
+                                live.swap_remove(ms as usize % live.len())
+                            }
+                        };
+                        let id = retire(&mut util_live, util_next);
+                        util.on_complete(&completed(id));
+                        oracle.util_complete(id);
+                        let id = retire(&mut feas_live, feas_next);
+                        feas.on_complete(&completed(id));
+                        oracle.feas_complete(id);
+                    }
+                    // Retune ρ.
+                    _ => {
+                        let bound = (ms as f64 / 1_000.0).max(0.01);
+                        util.set_utilization_bound(bound);
+                        oracle.bound = bound.clamp(MIN_RUNTIME_BOUND, MAX_RUNTIME_BOUND);
+                    }
+                }
+                let (load, want) = (util.load().to_bits(), oracle.load.to_bits());
+                prop_assert_eq!(load, want, "load at step {}", step);
+                let (backlog, want) = (feas.backlog_ns(), oracle.backlog_ns);
+                prop_assert_eq!(backlog, want, "backlog at step {}", step);
+            }
+        }
     }
 
     fn paper() -> (&'static SystemConfig, &'static LookupTable) {

@@ -772,9 +772,9 @@ fn simulate_source_inner(
             // operating point.
             if let Some(ctrl) = controller.as_mut() {
                 for idx in before..metrics.snapshots().len() {
-                    let snap = metrics.snapshots()[idx].clone();
+                    let snap = &metrics.snapshots()[idx];
                     actions.clear();
-                    ctrl.on_window(&snap, &mut actions);
+                    ctrl.on_window(snap, &mut actions);
                     for action in actions.drain(..) {
                         let applied = match action {
                             ControlAction::SetAlpha(alpha) => policy.set_alpha(alpha),

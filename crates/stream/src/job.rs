@@ -77,42 +77,32 @@ impl JobTemplate {
     /// per-category minimum aggregated over the job — what
     /// proportional-deadline generators and feasibility-estimate admission
     /// gates scale from.
+    ///
+    /// It runs once per offered arrival (deadline tagging, feasibility
+    /// gates), so the common case allocates nothing: every family's edge
+    /// list is grouped by source, and a job of at most 64 kernels runs the
+    /// DP on stack scratch. Only a larger job (heap scratch) or a
+    /// hand-built list whose edges are not grouped by source (heap scratch
+    /// plus a sorted copy) allocates.
     pub fn critical_path_min(&self, lookup: &LookupTable) -> SimDuration {
-        let exec: Vec<u64> = self
-            .kernels
-            .iter()
-            .map(|k| lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0))
-            .collect();
-        // Every edge ascends (`from < to`), so edges sorted by source form a
-        // topological sweep: all edges *into* `a` (sources `< a`) are
-        // processed before any edge *out of* `a`, making `start[a]` final by
-        // the time it propagates. Most templates (chains, generator DAGs)
-        // already list edges in that order — only the odd interleaved list
-        // (diamonds) pays the clone+sort. This runs per arrival (deadline
-        // tagging, feasibility gates), so the common case stays cheap.
+        let n = self.kernels.len();
+        let grouped = self.edges.is_sorted_by_key(|&(a, _)| a);
+        if grouped && n <= CP_STACK_KERNELS {
+            let mut scratch = [[0u64; 2]; CP_STACK_KERNELS];
+            return longest_path(&self.kernels, &self.edges, lookup, &mut scratch[..n]);
+        }
         let sorted_edges;
-        let edges: &[(u32, u32)] = if self.edges.is_sorted() {
+        let edges: &[(u32, u32)] = if grouped {
             &self.edges
         } else {
             sorted_edges = {
                 let mut e = self.edges.to_vec();
-                e.sort_unstable();
+                e.sort_unstable_by_key(|&(a, _)| a);
                 e
             };
             &sorted_edges
         };
-        let mut start = vec![0u64; self.kernels.len()];
-        for &(a, b) in edges {
-            let fa = start[a as usize] + exec[a as usize];
-            start[b as usize] = start[b as usize].max(fa);
-        }
-        let total = start
-            .iter()
-            .zip(&exec)
-            .map(|(s, e)| s + e)
-            .max()
-            .unwrap_or(0);
-        SimDuration::from_ns(total)
+        longest_path(&self.kernels, edges, lookup, &mut vec![[0u64; 2]; n])
     }
 
     /// Convert a generated [`KernelDag`] (whose edges the generators number
@@ -245,15 +235,7 @@ impl JobFamily {
             }
             JobFamily::Diamond { width } => {
                 let width = width.max(1);
-                let edges = cache.edges(|| {
-                    let sink = (width + 1) as u32;
-                    let mut edges = Vec::with_capacity(2 * width);
-                    for m in 1..=width as u32 {
-                        edges.push((0, m));
-                        edges.push((m, sink));
-                    }
-                    edges
-                });
+                let edges = cache.edges(|| diamond_edges(width));
                 let kernels = kernel_series(&StreamConfig::uniform(width + 2, seed), lookup);
                 JobTemplate::from_shared(kernels, edges).expect("diamond edges ascend")
             }
@@ -294,11 +276,55 @@ impl TemplateCache {
     }
 }
 
+/// A width-`width` diamond's edges in ascending order: the fan-out
+/// `(0, 1), …, (0, width)`, then the fan-in `(1, sink), …, (width, sink)`.
+/// An ascending list skips both `validate_job`'s duplicate scan and
+/// [`JobTemplate::critical_path_min`]'s sort.
+fn diamond_edges(width: usize) -> Vec<(u32, u32)> {
+    let sink = (width + 1) as u32;
+    let middles = 1..=width as u32;
+    middles
+        .clone()
+        .map(|m| (0, m))
+        .chain(middles.map(|m| (m, sink)))
+        .collect()
+}
+
 /// [`apt_dfg::generator::generate_kernels`], collected straight into a
 /// shared slice. The micro-shapes use the uniform mix.
 fn kernel_series(cfg: &StreamConfig, lookup: &LookupTable) -> Arc<[Kernel]> {
     let mut sampler = KernelSampler::new(cfg);
     (0..cfg.len).map(|_| sampler.next_kernel(lookup)).collect()
+}
+
+/// Jobs of up to this many kernels take [`JobTemplate::critical_path_min`]'s
+/// stack-scratch path: every family at the sizes the sweeps and the
+/// benchmark draw (Type-1 jobs of 46 kernels are the largest).
+const CP_STACK_KERNELS: usize = 64;
+
+/// The critical-path DP over `edges` grouped by source, with
+/// `scratch[i] = [exec, start]` of kernel `i` (zeroed on entry). Every edge
+/// ascends (`from < to`), so edges grouped by ascending source form a
+/// topological sweep: all edges *into* `a` (sources `< a`) are processed
+/// before any edge *out of* `a`, so `start[a]` is final by the time it
+/// propagates.
+fn longest_path(
+    kernels: &[Kernel],
+    edges: &[(u32, u32)],
+    lookup: &LookupTable,
+    scratch: &mut [[u64; 2]],
+) -> SimDuration {
+    for (slot, k) in scratch.iter_mut().zip(kernels) {
+        slot[0] = lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0);
+    }
+    for &(a, b) in edges {
+        let [exec, start] = scratch[a as usize];
+        let finish = start + exec;
+        let to = &mut scratch[b as usize][1];
+        *to = (*to).max(finish);
+    }
+    let total = scratch.iter().map(|&[e, s]| s + e).max().unwrap_or(0);
+    SimDuration::from_ns(total)
 }
 
 #[cfg(test)]
@@ -368,9 +394,16 @@ mod tests {
         // Independent pair: CP = max(106, 112).
         let par = JobTemplate::new(vec![bfs, nw], vec![]).unwrap();
         assert_eq!(par.critical_path_min(lookup()), SimDuration::from_ms(112));
-        // Diamond with interleaved edge listing (the family generators'
-        // push order) still sweeps topologically.
-        let d = JobFamily::Diamond { width: 2 }.instantiate(&mut SplitMix64::new(5), lookup());
+        // A hand-built diamond with an interleaved edge listing (not grouped
+        // by source) takes the sorted-copy path and still sweeps
+        // topologically.
+        let drawn = JobFamily::Diamond { width: 2 }.instantiate(&mut SplitMix64::new(5), lookup());
+        let d = JobTemplate::new(
+            drawn.kernels().to_vec(),
+            vec![(0, 1), (1, 3), (0, 2), (2, 3)],
+        )
+        .unwrap();
+        assert!(!d.edges().is_sorted_by_key(|&(a, _)| a));
         let by_hand = {
             let e: Vec<u64> = d
                 .kernels()
@@ -385,9 +418,140 @@ mod tests {
             e[0] + e[1].max(e[2]) + e[3]
         };
         assert_eq!(d.critical_path_min(lookup()).as_ns(), by_hand);
+        assert_eq!(drawn.critical_path_min(lookup()).as_ns(), by_hand);
         // A kernel with no table row weighs zero rather than poisoning CP.
         let ghost = JobTemplate::new(vec![Kernel::new(KernelKind::MatMul, 123)], vec![]).unwrap();
         assert_eq!(ghost.critical_path_min(lookup()), SimDuration::ZERO);
+    }
+
+    /// The plain critical-path DP: heap `exec` and `start` lists over a
+    /// lexicographically sorted copy of the edges. The oracle for
+    /// `critical_path_min`'s scratch and ordering shortcuts.
+    fn critical_path_oracle(job: &JobTemplate, lookup: &LookupTable) -> SimDuration {
+        let exec: Vec<u64> = job
+            .kernels()
+            .iter()
+            .map(|k| lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0))
+            .collect();
+        let mut edges = job.edges().to_vec();
+        edges.sort_unstable();
+        let mut start = vec![0u64; job.len()];
+        for &(a, b) in &edges {
+            let fa = start[a as usize] + exec[a as usize];
+            start[b as usize] = start[b as usize].max(fa);
+        }
+        let total = start
+            .iter()
+            .zip(&exec)
+            .map(|(s, e)| s + e)
+            .max()
+            .unwrap_or(0);
+        SimDuration::from_ns(total)
+    }
+
+    #[test]
+    fn critical_path_matches_the_sorting_oracle() {
+        use apt_dfg::{Kernel, KernelKind};
+        let lookup = lookup();
+        let mut rng = SplitMix64::new(0xC417);
+        let (mut large, mut grouped_unsorted, mut unsorted) = (0, 0, 0);
+        for case in 0..900 {
+            // 1–80 kernels: both sides of the 64-kernel stack bound.
+            let n = 1 + rng.gen_index(80);
+            let mut kernels = kernel_series(&StreamConfig::uniform(n, case), lookup).to_vec();
+            for k in &mut kernels {
+                if rng.gen_range(6) == 0 {
+                    *k = Kernel::new(KernelKind::MatMul, 123); // no table row
+                }
+            }
+            // A random DAG over ascending pairs, one target list per source.
+            let mut targets: Vec<Vec<(u32, u32)>> = (0..n)
+                .map(|a| {
+                    (a + 1..n)
+                        .filter(|_| rng.gen_range(n as u64) < 3)
+                        .map(|b| (a as u32, b as u32))
+                        .collect()
+                })
+                .collect();
+            let edges: Vec<(u32, u32)> = match case % 3 {
+                // Lexicographic.
+                0 => targets.concat(),
+                // Grouped by source, targets shuffled within each group.
+                1 => {
+                    for group in &mut targets {
+                        rng.shuffle(group);
+                    }
+                    targets.concat()
+                }
+                // No order at all.
+                _ => {
+                    let mut all = targets.concat();
+                    rng.shuffle(&mut all);
+                    all
+                }
+            };
+            let grouped = edges.is_sorted_by_key(|&(a, _)| a);
+            large += usize::from(n > CP_STACK_KERNELS);
+            grouped_unsorted += usize::from(grouped && !edges.is_sorted());
+            unsorted += usize::from(!grouped);
+            let job = JobTemplate::new(kernels, edges).unwrap();
+            assert_eq!(
+                job.critical_path_min(lookup),
+                critical_path_oracle(&job, lookup),
+                "case {case}: {n} kernels, edges {:?}",
+                job.edges()
+            );
+        }
+        assert!(large > 50 && grouped_unsorted > 50 && unsorted > 50);
+    }
+
+    #[test]
+    fn family_edges_take_the_grouped_path() {
+        let mut rng = SplitMix64::new(3);
+        for family in [
+            JobFamily::Chain { len: 5 },
+            JobFamily::Diamond { width: 4 },
+            JobFamily::Type1 { len: 46 },
+            JobFamily::Type2 { len: 40 },
+        ] {
+            let job = family.instantiate(&mut rng, lookup());
+            assert!(job.edges().is_sorted_by_key(|&(a, _)| a), "{family:?}");
+            assert!(job.len() <= CP_STACK_KERNELS, "{family:?}");
+        }
+    }
+
+    /// The diamond's source-grouped edge list gives every node the same
+    /// successor and predecessor order as the interleaved list it
+    /// replaced, so the engine's adjacency, and with it every schedule,
+    /// is unchanged.
+    #[test]
+    fn diamond_edges_keep_every_nodes_adjacency() {
+        use apt_dfg::{Kernel, KernelKind, NodeId};
+        for width in 1..=8 {
+            let sink = (width + 1) as u32;
+            let interleaved: Vec<(u32, u32)> = (1..=width as u32)
+                .flat_map(|m| [(0, m), (m, sink)])
+                .collect();
+            let grouped = diamond_edges(width);
+            assert!(grouped.is_sorted(), "strictly ascending: {grouped:?}");
+            let dag = |edges: &[(u32, u32)]| {
+                let mut dag = KernelDag::new();
+                for _ in 0..width + 2 {
+                    dag.add_node(Kernel::canonical(KernelKind::Bfs));
+                }
+                for &(a, b) in edges {
+                    dag.add_edge(NodeId::new(a as usize), NodeId::new(b as usize))
+                        .unwrap();
+                }
+                dag
+            };
+            let (old, new) = (dag(&interleaved), dag(&grouped));
+            assert_eq!(old.edge_count(), new.edge_count());
+            for id in old.node_ids() {
+                assert_eq!(old.succs(id), new.succs(id), "width {width}, node {id:?}");
+                assert_eq!(old.preds(id), new.preds(id), "width {width}, node {id:?}");
+            }
+        }
     }
 
     #[test]

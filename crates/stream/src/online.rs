@@ -239,10 +239,7 @@ impl OnlineMetrics {
         proc_stats: &[ProcStats],
     ) {
         let span_ns = span.as_ns() as f64;
-        let busy_now: Vec<u64> = proc_stats
-            .iter()
-            .map(|s| (s.busy + s.transfer).as_ns())
-            .collect();
+        debug_assert_eq!(proc_stats.len(), self.last_busy_ns.len());
         // Cumulative busy time can only be apportioned to the window it
         // was *observed* in; with multi-window gaps the delta lands in
         // the first window of the gap, which slightly front-loads
@@ -250,12 +247,16 @@ impl OnlineMetrics {
         // crash or transient kill rewinds the busy time pre-credited to a
         // kernel dispatched before this boundary, so a window can see it
         // fall — that window reports zero, not a wrapped difference.
-        let utilization: Vec<f64> = busy_now
+        let utilization: Vec<f64> = proc_stats
             .iter()
-            .zip(&self.last_busy_ns)
-            .map(|(now_ns, last_ns)| now_ns.saturating_sub(*last_ns) as f64 / span_ns)
+            .zip(&mut self.last_busy_ns)
+            .map(|(s, last_ns)| {
+                let now_ns = (s.busy + s.transfer).as_ns();
+                let delta = now_ns.saturating_sub(*last_ns);
+                *last_ns = now_ns;
+                delta as f64 / span_ns
+            })
             .collect();
-        self.last_busy_ns = busy_now;
         let [failures, retries, wasted, down] = self.fault_now;
         let [b_failures, b_retries, b_wasted, b_down] = self.fault_at_boundary;
         let nprocs = self.last_busy_ns.len().max(1);

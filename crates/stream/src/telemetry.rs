@@ -6,11 +6,14 @@
 //! Telemetry is observational by contract: an armed [`StreamTelemetry`]
 //! never changes a schedule — the telemetered equivalence test pins a
 //! telemetered run's [`crate::StreamOutcome`] byte-identical to the bare
-//! run's. It keeps no per-job state of its own: the gauges and JSONL lines
-//! are written as windows close, and the job counters and histograms are
-//! published once at stream end from the driver's aggregator, so the
-//! registry reports exactly the counts and quantiles of the outcome
-//! (`perfbench`'s `stream_armed` workload runs it armed).
+//! run's. It keeps no per-job state of its own: the gauges are set and
+//! one fixed-size row is stored as each window closes, and the job
+//! counters and histograms are published once at stream end from the
+//! driver's aggregator, so the registry reports exactly the counts and
+//! quantiles of the outcome (`perfbench`'s `stream_armed` workload runs it
+//! armed). The JSONL text is rendered from the rows on the first
+//! [`StreamTelemetry::jsonl`] call, so a run nobody reads the lines of
+//! formats none of them.
 
 use crate::online::{OnlineMetrics, HIST_GAMMA};
 use apt_metrics::StreamSnapshot;
@@ -18,6 +21,7 @@ use apt_telemetry::{
     render_prometheus, CounterId, GaugeId, Heartbeat, HistId, PhaseReport, Registry,
 };
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// The streaming driver's telemetry surface. Construct one, hand it to
 /// [`crate::simulate_source_telemetered`], then read back
@@ -25,6 +29,11 @@ use std::fmt::Write as _;
 /// [`StreamTelemetry::jsonl`] (one line per closed metrics window) and
 /// [`StreamTelemetry::phase_report`] (engine wall-clock breakdown, when
 /// profiling was compiled in and requested).
+///
+/// Each closed window is kept as one `Copy` row of the numbers its JSONL
+/// line prints; the text is rendered on the first
+/// [`StreamTelemetry::jsonl`] call after a window closes and cached until
+/// the next one. A telemetry reused across runs keeps every run's rows.
 #[derive(Debug)]
 pub struct StreamTelemetry {
     reg: Registry,
@@ -45,7 +54,9 @@ pub struct StreamTelemetry {
     g_sim: GaugeId,
     h_latency: HistId,
     h_tardiness: HistId,
-    jsonl: String,
+    windows: Vec<WindowRow>,
+    /// `windows` rendered as JSONL, filled on read.
+    jsonl: OnceLock<String>,
     heartbeat: Option<Heartbeat>,
     profile_engine: bool,
     phase_report: Option<PhaseReport>,
@@ -123,7 +134,8 @@ impl StreamTelemetry {
             g_sim,
             h_latency,
             h_tardiness,
-            jsonl: String::new(),
+            windows: Vec::new(),
+            jsonl: OnceLock::new(),
             heartbeat: None,
             profile_engine: false,
             phase_report: None,
@@ -172,7 +184,13 @@ impl StreamTelemetry {
     /// The JSONL snapshot stream: one flat object per closed metrics
     /// window (guaranteed to pass [`apt_telemetry::validate_jsonl`]).
     pub fn jsonl(&self) -> &str {
-        &self.jsonl
+        self.jsonl.get_or_init(|| {
+            let mut out = String::new();
+            for row in &self.windows {
+                row.render(&mut out);
+            }
+            out
+        })
     }
 
     /// The engine's phase-breakdown report, populated at run end when
@@ -240,34 +258,28 @@ impl StreamTelemetry {
         self.reg.set(self.g_availability, snap.availability);
         self.reg.set(self.g_sim, snap.end.as_secs_f64());
 
-        // One flat JSONL object per closed window — the schema the CI
-        // soak smoke validates.
-        let fmt_opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v}"));
-        let _ = writeln!(
-            self.jsonl,
-            "{{\"end_s\":{},\"window_jobs\":{},\"total_jobs\":{},\"throughput_jps\":{},\
-             \"latency_p50_ms\":{},\"latency_p90_ms\":{},\"latency_p99_ms\":{},\
-             \"depth_now\":{},\"in_flight\":{},\"queue_depth\":{},\
-             \"window_miss_rate\":{},\"miss_rate\":{},\"availability\":{},\
-             \"window_admitted\":{},\"window_shed\":{},\"alpha\":{},\"rho\":{}}}",
-            snap.end.as_secs_f64(),
-            snap.window_jobs,
-            snap.total_jobs,
-            finite(snap.throughput_jps),
-            finite(snap.latency_p50_ms),
-            finite(snap.latency_p90_ms),
-            finite(snap.latency_p99_ms),
-            snap.depth_now,
+        self.windows.push(WindowRow {
+            end_s: snap.end.as_secs_f64(),
+            window_jobs: snap.window_jobs,
+            total_jobs: snap.total_jobs,
+            throughput_jps: snap.throughput_jps,
+            latency_ms: [
+                snap.latency_p50_ms,
+                snap.latency_p90_ms,
+                snap.latency_p99_ms,
+            ],
+            depth_now: snap.depth_now,
             in_flight,
             queued,
-            finite(snap.window_miss_rate()),
-            finite(snap.miss_rate()),
-            finite(snap.availability),
-            snap.window_admitted,
-            snap.window_shed,
-            fmt_opt(alpha),
-            fmt_opt(rho),
-        );
+            window_miss_rate: snap.window_miss_rate(),
+            miss_rate: snap.miss_rate(),
+            availability: snap.availability,
+            window_admitted: snap.window_admitted,
+            window_shed: snap.window_shed,
+            alpha,
+            rho,
+        });
+        self.jsonl.take();
     }
 
     /// True when a `--progress` heartbeat was requested — hoisted out of
@@ -337,12 +349,78 @@ impl StreamTelemetry {
     }
 }
 
-/// JSON has no Inf/NaN literals; clamp the (rare) non-finite estimator
-/// outputs to null.
-fn finite(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// What one closed window's JSONL line prints.
+#[derive(Debug, Clone, Copy)]
+struct WindowRow {
+    end_s: f64,
+    window_jobs: u64,
+    total_jobs: u64,
+    throughput_jps: f64,
+    /// p50, p90, p99.
+    latency_ms: [f64; 3],
+    depth_now: usize,
+    in_flight: usize,
+    queued: usize,
+    window_miss_rate: f64,
+    miss_rate: f64,
+    availability: f64,
+    window_admitted: u64,
+    window_shed: u64,
+    alpha: Option<f64>,
+    rho: Option<f64>,
+}
+
+impl WindowRow {
+    /// Append this window's line: one flat JSON object, the schema the CI
+    /// soak smoke validates. Estimator outputs that can go non-finite
+    /// print `null` (JSON has no Inf/NaN literals), as do absent knobs.
+    fn render(&self, out: &mut String) {
+        let [p50, p90, p99] = self.latency_ms;
+        let _ = write!(
+            out,
+            "{{\"end_s\":{},\"window_jobs\":{},\"total_jobs\":{},\"throughput_jps\":",
+            self.end_s, self.window_jobs, self.total_jobs
+        );
+        finite(out, self.throughput_jps);
+        out.push_str(",\"latency_p50_ms\":");
+        finite(out, p50);
+        out.push_str(",\"latency_p90_ms\":");
+        finite(out, p90);
+        out.push_str(",\"latency_p99_ms\":");
+        finite(out, p99);
+        let _ = write!(
+            out,
+            ",\"depth_now\":{},\"in_flight\":{},\"queue_depth\":{},\"window_miss_rate\":",
+            self.depth_now, self.in_flight, self.queued
+        );
+        finite(out, self.window_miss_rate);
+        out.push_str(",\"miss_rate\":");
+        finite(out, self.miss_rate);
+        out.push_str(",\"availability\":");
+        finite(out, self.availability);
+        let _ = write!(
+            out,
+            ",\"window_admitted\":{},\"window_shed\":{},\"alpha\":",
+            self.window_admitted, self.window_shed
+        );
+        optional(out, self.alpha);
+        out.push_str(",\"rho\":");
+        optional(out, self.rho);
+        out.push_str("}\n");
+    }
+}
+
+/// `v`, or `null` when it is not finite.
+fn finite(out: &mut String, v: f64) {
+    optional(out, Some(v).filter(|v| v.is_finite()));
+}
+
+/// `v`, or `null` when absent.
+fn optional(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => {
+            let _ = write!(out, "{v}");
+        }
+        None => out.push_str("null"),
     }
 }

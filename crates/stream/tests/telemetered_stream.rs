@@ -241,3 +241,55 @@ fn phase_report_presence_matches_feature() {
     #[cfg(not(feature = "self-profile"))]
     assert!(tel.phase_report().is_none());
 }
+
+/// FNV-1a, 64-bit: a fingerprint of a whole JSONL text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The JSONL of [`run`]'s telemetered stream, pinned byte for byte: the
+/// first lines verbatim, and the whole text by length and fingerprint. Covers integers, fractions, whole-valued
+/// floats, a retuned α and an absent ρ (`null`).
+const GOLDEN_HEAD: [&str; 3] = [
+    "{\"end_s\":10,\"window_jobs\":6,\"total_jobs\":6,\"throughput_jps\":0.6,\"latency_p50_ms\":1326.354762793802,\"latency_p90_ms\":6064.699952926325,\"latency_p99_ms\":6064.699952926325,\"depth_now\":6,\"in_flight\":6,\"queue_depth\":12,\"window_miss_rate\":0.8333333333333334,\"miss_rate\":0.8333333333333334,\"availability\":1,\"window_admitted\":12,\"window_shed\":13,\"alpha\":8,\"rho\":null}\n",
+    "{\"end_s\":20,\"window_jobs\":8,\"total_jobs\":14,\"throughput_jps\":0.8,\"latency_p50_ms\":3072.410403480659,\"latency_p90_ms\":7865.560007532313,\"latency_p99_ms\":9416.841515964064,\"depth_now\":5,\"in_flight\":5,\"queue_depth\":10,\"window_miss_rate\":0.875,\"miss_rate\":0.8571428571428571,\"availability\":1,\"window_admitted\":7,\"window_shed\":6,\"alpha\":6,\"rho\":null}\n",
+    "{\"end_s\":30,\"window_jobs\":7,\"total_jobs\":21,\"throughput_jps\":0.7,\"latency_p50_ms\":6187.219143894534,\"latency_p90_ms\":9416.841515964064,\"latency_p99_ms\":23162.38759283583,\"depth_now\":5,\"in_flight\":5,\"queue_depth\":10,\"window_miss_rate\":1,\"miss_rate\":0.9047619047619048,\"availability\":1,\"window_admitted\":7,\"window_shed\":13,\"alpha\":6,\"rho\":null}\n",
+];
+const GOLDEN_LINES: usize = 10;
+const GOLDEN_BYTES: usize = 3514;
+const GOLDEN_FNV: u64 = 0xbea5_01bd_b605_8c95;
+
+#[test]
+fn jsonl_matches_the_golden_text() {
+    let mut tel = StreamTelemetry::new();
+    run(Some(&mut tel), None);
+    let text = tel.jsonl();
+    assert!(text.starts_with(&GOLDEN_HEAD.concat()), "{text}");
+    assert_eq!(text.lines().count(), GOLDEN_LINES);
+    assert_eq!(text.len(), GOLDEN_BYTES);
+    assert_eq!(fnv1a(text), GOLDEN_FNV);
+}
+
+/// One telemetry reused for two runs renders both runs' windows, whether
+/// or not the first run's lines were read in between.
+#[test]
+fn reused_telemetry_renders_every_runs_lines() {
+    let mut once = StreamTelemetry::new();
+    run(Some(&mut once), None);
+    let one = once.jsonl().to_string();
+
+    let mut read_between = StreamTelemetry::new();
+    run(Some(&mut read_between), None);
+    assert_eq!(read_between.jsonl(), one);
+    run(Some(&mut read_between), None);
+    let both = format!("{one}{one}");
+    assert_eq!(read_between.jsonl(), both);
+    assert_eq!(read_between.jsonl().lines().count(), 2 * GOLDEN_LINES);
+
+    let mut unread = StreamTelemetry::new();
+    run(Some(&mut unread), None);
+    run(Some(&mut unread), None);
+    assert_eq!(unread.jsonl(), both);
+}
